@@ -6,7 +6,7 @@ to the metric's bound in BENCHMARK.json.
 Run from the repository root:
 
     python3 perfbench/steady.py --runs 10 --seconds 25
-    python3 perfbench/steady.py --workloads cluster --runs 5 --seed0 100
+    python3 perfbench/steady.py --workloads cluster --runs 5 --seed0 100   # not in BENCHMARK.json
     python3 perfbench/steady.py --workloads solve --runs 3 --traced
 
 Each run is `bash perfbench/run.sh --workload W --seed S --seconds T --trace 0`
@@ -57,7 +57,7 @@ def spread(values):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--workloads", default="serve,solve,cluster")
+    ap.add_argument("--workloads", default=None, help="comma-separated; default: the workloads of BENCHMARK.json")
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=None, help="default: run_seconds of BENCHMARK.json")
     ap.add_argument("--seed0", type=int, default=1)
@@ -67,8 +67,9 @@ def main():
         bench = json.load(f)
     seconds = args.seconds or bench["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    workloads = args.workloads or ",".join(w["name"] for w in bench["workloads"])
     raw = {}
-    for w in args.workloads.split(","):
+    for w in workloads.split(","):
         runs = []
         for i in range(args.runs):
             r = run_once(w, args.seed0 + i, seconds, False)
