@@ -160,8 +160,12 @@ func runCluster(ctx context.Context, c runCfg) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	var pids []string
+	for _, p := range sys.procs {
+		pids = append(pids, fmt.Sprint(p.pid()))
+	}
 	start := time.Now()
-	meter := startSteal(start)
+	meter := startSteal(start, pids, nil)
 	// The first cycle always completes: the deterministic per-job counts of
 	// traced runs are taken over it.
 	for (time.Since(start) < c.window || seq.next < len(seq.cycle)) && ctx.Err() == nil {
@@ -215,6 +219,7 @@ func runCluster(ctx context.Context, c runCfg) (*outcome, error) {
 	}
 	loop.elapsed = time.Since(start)
 	loop.steal = meter.finish(start, c.window)
+	loop.sliceHWM = meter.sliceHWM()
 	cpu1, err := cpu()
 	if err != nil {
 		return nil, err

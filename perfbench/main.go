@@ -47,7 +47,11 @@ type loopStats struct {
 	elapsed time.Duration // measured window
 	cpu     time.Duration // user+sys CPU of the system under test over the window
 	hwm     int64         // peak resident bytes of the system under test
-	setups  []setup
+	// sliceHWM is the median over the window's slices of the peak
+	// resident bytes in each; 0 where the peak cannot be reset per slice.
+	sliceHWM int64
+	rttUS    float64 // median probe round trip, us; 0: not probed (see rtprobe.go)
+	setups   []setup
 }
 
 // setup is one timed set-up and the machine-wide ticks stolen during it.
@@ -104,7 +108,9 @@ var workloads = map[string]workload{
 // preemption hits, not on the median operation, which is short next to the
 // host's scheduling quantum: so set-up time, closed-loop goodput and the
 // tail are scaled by the share of the machine's CPU time the hypervisor
-// left, and p50 is reported as measured (see README.md).
+// left, and p50 is reported as measured, except that a run that probed the
+// host's loopback round trip reports p50 at the reference round trip rtRefUS
+// (see rtprobe.go and README.md).
 func (o *outcome) e2e() (metrics, string) {
 	l := o.loop
 	calm := calmSlices(l.steal)
@@ -146,17 +152,28 @@ func (o *outcome) e2e() (metrics, string) {
 		raw[i] = s.d.Seconds()
 		setups[i] = raw[i] * (1 - stealShare(s.stolen, s.d))
 	}
+	p50 := quantile(ms, 0.5)
+	rt := 1.0
+	if l.rttUS > 0 {
+		rt = rtRefUS / l.rttUS
+	}
 	m := metrics{}
-	m.set("p50_ms", "ms", quantile(ms, 0.5))
+	m.set("p50_ms", "ms", p50*rt)
 	m.set("tail_ms", "ms", tail*(1-share))
 	m.set("goodput_per_s", "1/s", ratio(float64(good), span.Seconds()))
 	m.set("cpu_ms_per_job", "ms", ratio(l.cpu.Seconds()*1e3, float64(len(l.samples))))
-	m.set("rss_mb", "MiB", float64(l.hwm)/(1<<20))
+	rss := l.sliceHWM
+	if rss == 0 {
+		rss = l.hwm
+	}
+	m.set("rss_mb", "MiB", float64(rss)/(1<<20))
 	m.set("setup_s", "s", median(setups))
 	return m, fmt.Sprintf("tail_ms is %s of %d samples (%d beyond it); latency and goodput from the %d calmest of %d slices, "+
-		"steal share %.3f (stolen ticks per slice %v); unadjusted tail_ms %.4g, goodput_per_s %.4g, setup_s %.4g",
-		fmtPct(pct), n, beyond(n, pct), len(calm), len(l.steal), share, l.steal, tail,
-		ratio(float64(good), rawSpan.Seconds()), median(raw))
+		"steal share %.3f (stolen ticks per slice %v); probe round trip %.4g us (p50 scale %.4g); "+
+		"rss_mb per slice %t; "+
+		"unadjusted p50_ms %.4g, tail_ms %.4g, goodput_per_s %.4g, setup_s %.4g",
+		fmtPct(pct), n, beyond(n, pct), len(calm), len(l.steal), share, l.steal, l.rttUS, rt, l.sliceHWM > 0,
+		p50, tail, ratio(float64(good), rawSpan.Seconds()), median(raw))
 }
 
 // result is the last line of standard output.

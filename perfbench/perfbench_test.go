@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -100,6 +103,7 @@ func TestE2EFromCalmSlices(t *testing.T) {
 	}
 	l.samples = append(l.samples, sample{at: 4 * time.Second, lat: ms(1000), good: true}) // past the last slice
 	l.setups = []setup{{d: time.Second, stolen: ticks / 4}}
+	l.hwm = 5 << 20
 	o := &outcome{loop: l}
 	m, _ := o.e2e()
 	near := func(name string, want float64) {
@@ -112,9 +116,17 @@ func TestE2EFromCalmSlices(t *testing.T) {
 	near("tail_ms", 2*0.9)
 	near("goodput_per_s", 200/(0.4*0.9)) // 200 jobs in 0.4 s of busy time, 90% of it ours
 	near("setup_s", 0.75)
+	near("rss_mb", 5)
 	o.openLoop = true
 	m, _ = o.e2e()
 	near("goodput_per_s", 100) // 200 jobs in the 2 calm seconds
+	// A probed round trip twice the reference halves p50 and nothing else;
+	// a per-slice peak replaces the whole-run one.
+	o.loop.rttUS, o.loop.sliceHWM = 2*rtRefUS, 3<<20
+	m, _ = o.e2e()
+	near("p50_ms", 1)
+	near("tail_ms", 2*0.9)
+	near("rss_mb", 3)
 }
 
 func TestSameSeedSameJobs(t *testing.T) {
@@ -290,5 +302,62 @@ func TestDeterministicCountsRepeat(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("counts differ between two runs of one seed:\n%v\n%v", a, b)
+	}
+}
+
+func TestRawConn(t *testing.T) {
+	calls := 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls++
+		body, _ := io.ReadAll(r.Body)
+		switch r.URL.Path {
+		case "/big": // past net/http's buffer: a chunked response
+			w.Write(bytes.Repeat(body, 4096))
+		case "/close":
+			w.Header().Set("Connection", "close")
+			w.Write(body)
+		default:
+			w.WriteHeader(http.StatusTeapot)
+			w.Write(body)
+		}
+	}))
+	defer srv.Close()
+	c, err := dialRaw(strings.TrimPrefix(srv.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, want := range []struct {
+		path, body string
+		status     int
+		resp       string
+	}{
+		{"/small", "abc", http.StatusTeapot, "abc"},
+		{"/big", "xy", http.StatusOK, strings.Repeat("xy", 4096)},
+		{"/close", "q", http.StatusOK, "q"}, // the next request dials again
+		{"/small", "again", http.StatusTeapot, "again"},
+	} {
+		status, body, err := c.post(want.path, []byte(want.body))
+		if err != nil || status != want.status || string(body) != want.resp {
+			t.Fatalf("request %d: status %d, %d bytes, err %v", i, status, len(body), err)
+		}
+	}
+	if calls != 4 {
+		t.Fatalf("server saw %d requests, want 4", calls)
+	}
+}
+
+func TestRTProbe(t *testing.T) {
+	p, err := startRTProbe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtt, err := p.rttUS()
+	p.close()
+	if err != nil || rtt <= 0 {
+		t.Fatalf("round trip %g us, err %v", rtt, err)
+	}
+	if _, err := p.rttUS(); err == nil {
+		t.Fatal("a closed probe still pings")
 	}
 }

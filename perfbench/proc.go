@@ -166,6 +166,17 @@ func procHWM(pid string) (int64, error) {
 	return 0, fmt.Errorf("no VmHWM in /proc/%s/status", pid)
 }
 
+// resetHWM sets the peak resident set (VmHWM) of each process back to its
+// current resident set.
+func resetHWM(pids []string) error {
+	for _, pid := range pids {
+		if err := os.WriteFile("/proc/"+pid+"/clear_refs", []byte("5"), 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // scrape reads a Prometheus text exposition and sums every series by
 // metric name (labels dropped). Absent metrics are simply missing from the
 // map, so callers can report them as absent.

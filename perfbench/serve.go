@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -20,11 +21,12 @@ import (
 // The serve workload: one client process sends an open loop at a fixed
 // offered rate, well below capacity, over at most serveConns connections.
 const (
-	serveRate       = 360                   // offered requests per second
-	serveConns      = 2                     // client connections (the reference host has 2 vCPUs)
-	serveLimit      = 50 * time.Millisecond // latency limit on tail_ms; slower requests are not goodput
-	serveTimeout    = 10 * time.Second      // a request still unanswered after this has failed
-	serveCheckEvery = 4                     // every 4th non-hot request is checked in-process
+	serveRate       = 360                    // offered requests per second
+	serveConns      = 2                      // client connections (the reference host has 2 vCPUs)
+	serveLimit      = 50 * time.Millisecond  // latency limit on tail_ms; slower requests are not goodput
+	serveTimeout    = 10 * time.Second       // a request still unanswered after this has failed
+	serveCheckEvery = 4                      // every 4th non-hot request is checked in-process
+	serveSpin       = 300 * time.Microsecond // a connection spins, not sleeps, for the last stretch before a due time
 )
 
 // The request mix: mostly a hot set that fits the 256-entry result cache;
@@ -217,8 +219,10 @@ func runServe(ctx context.Context, c runCfg) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, late, hotFirst, steal := serveWindow(ctx, client, base, ops, len(hot), c.tr)
-	loop.steal = steal
+	res, late, hotFirst, err := serveWindow(ctx, strings.TrimPrefix(base, "http://"), fmt.Sprint(lm.pid()), ops, len(hot), c.tr, &loop)
+	if err != nil {
+		return nil, err
+	}
 	cpu1, err := procCPU(lm.pid())
 	if err != nil {
 		return nil, err
@@ -260,26 +264,46 @@ func runServe(ctx context.Context, c runCfg) (*outcome, error) {
 }
 
 // serveWindow sends the ops on schedule and returns what the client saw,
-// how late the generator sent each op, the first body of each hot key, and
-// the stolen time per slice.
-func serveWindow(ctx context.Context, client *http.Client, base string, ops []serveOp, nHot int, tr *Tracer) ([]serveRes, []time.Duration, [][]byte, []int64) {
+// how late the generator sent each op and the first body of each hot key.
+// It records the stolen time, lmtd's (pid's) peak resident set and the
+// probe's round trip in l.
+func serveWindow(ctx context.Context, addr, pid string, ops []serveOp, nHot int, tr *Tracer, l *loopStats) ([]serveRes, []time.Duration, [][]byte, error) {
+	probe, err := startRTProbe()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	defer probe.close()
+	conns := make([]*rawConn, serveConns)
+	for w := range conns {
+		c, err := dialRaw(addr)
+		if err != nil {
+			for _, c := range conns[:w] {
+				c.Close()
+			}
+			return nil, nil, nil, err
+		}
+		conns[w] = c
+	}
 	res := make([]serveRes, len(ops))
 	late := make([]time.Duration, len(ops))
 	var mu sync.Mutex
 	hotFirst := make([][]byte, nHot)
 	var next atomic.Int64 // the next op a free connection takes, in due order
 	start := time.Now().Add(20 * time.Millisecond)
-	meter := startSteal(start)
+	meter := startSteal(start, []string{pid}, probe)
 	var wg sync.WaitGroup
-	for w := 0; w < serveConns; w++ {
+	for w := range conns {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer conns[w].Close()
 			// Each connection takes the next op as soon as it is free and
 			// sleeps until the op is due, with nanosleep on a thread of its
 			// own: Go timers wake up to a millisecond late on Linux, and a
 			// hand-off from a separate generator goroutine would add one more
-			// wake-up to every latency measured from the due time.
+			// wake-up to every latency measured from the due time. nanosleep
+			// itself wakes about 0.1 ms late, by as much as the host is busy,
+			// so it stops serveSpin early and the connection spins the rest.
 			runtime.LockOSThread()
 			defer runtime.UnlockOSThread()
 			for ctx.Err() == nil {
@@ -290,15 +314,17 @@ func serveWindow(ctx context.Context, client *http.Client, base string, ops []se
 				op, r := &ops[i], &res[i]
 				due := start.Add(op.due)
 				if time.Until(due) > 0 {
-					for d := time.Until(due); d > 0; d = time.Until(due) {
+					for d := time.Until(due) - serveSpin; d > 0; d = time.Until(due) - serveSpin {
 						ts := syscall.NsecToTimespec(int64(d))
 						_ = syscall.Nanosleep(&ts, nil) // EINTR (runtime preemption signals): sleep the rest
+					}
+					for time.Until(due) > 0 { // spin
 					}
 					late[i] = time.Since(due) // the generator's own lateness; queueing behind busy connections is not counted here
 				}
 				sp := tr.begin("client.POST "+op.path+" "+op.kind, 0, int64(i+1))
 				r.sent = time.Since(start)
-				status, body, err := post(ctx, client, base+op.path, op.body)
+				status, body, err := conns[w].post(op.path, op.body)
 				sp.end()
 				r.end = time.Since(start)
 				r.size = len(body)
@@ -328,13 +354,15 @@ func serveWindow(ctx context.Context, client *http.Client, base string, ops []se
 		}()
 	}
 	wg.Wait()
-	steal := meter.finish(start, ops[len(ops)-1].due)
+	l.steal = meter.finish(start, ops[len(ops)-1].due)
+	l.rttUS = meter.rttUS()
+	l.sliceHWM = meter.sliceHWM()
 	for i := range res {
 		if res[i].end == 0 && res[i].fail == "" {
 			res[i].fail = "not sent: " + fmt.Sprint(ctx.Err())
 		}
 	}
-	return res, late, hotFirst, steal
+	return res, late, hotFirst, nil
 }
 
 // checkServe compares every hot key's answer and a deterministic sample of

@@ -138,7 +138,7 @@ func runSolve(ctx context.Context, c runCfg) (*outcome, error) {
 	runtime.ReadMemStats(&ms0)
 	cpu0 := cpuSelf()
 	start := time.Now()
-	meter := startSteal(start)
+	meter := startSteal(start, []string{"self"}, nil)
 	// The first cycle always completes: the deterministic per-job counts of
 	// traced runs are taken over it.
 	for (time.Since(start) < c.window || seq.next < len(seq.cycle)) && ctx.Err() == nil {
@@ -205,6 +205,7 @@ func runSolve(ctx context.Context, c runCfg) (*outcome, error) {
 	}
 	loop.elapsed = time.Since(start)
 	loop.steal = meter.finish(start, c.window)
+	loop.sliceHWM = meter.sliceHWM()
 	loop.cpu = cpuSelf() - cpu0
 	runtime.ReadMemStats(&ms1)
 	m1 := svc.Metrics()

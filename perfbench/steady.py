@@ -5,7 +5,7 @@ to the metric's bound in BENCHMARK.json.
 
 Run from the repository root:
 
-    python3 perfbench/steady.py --runs 10 --seconds 25
+    python3 perfbench/steady.py --runs 10 --seconds 50
     python3 perfbench/steady.py --workloads cluster --runs 5 --seed0 100   # not in BENCHMARK.json
     python3 perfbench/steady.py --workloads solve --runs 3 --traced
 

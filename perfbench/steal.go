@@ -47,19 +47,26 @@ func stealShare(ticks int64, d time.Duration) float64 {
 	return min(float64(ticks)/capacity, 0.9)
 }
 
-// stealMeter samples the machine's stolen CPU time once per slice.
+// stealMeter samples, once per slice, the machine's stolen CPU time, the
+// peak resident set of the system under test in the slice and, with a
+// probe, the host's loopback round trip.
 type stealMeter struct {
 	stop, done chan struct{}
 	steal      []int64
+	hwm        []int64 // summed peak resident bytes per slice; nil if the peak cannot be reset
+	probe      *rtProbe
+	rtt        []float64 // probe round trips, us
 }
 
-// startSteal starts sampling at the window start.
-func startSteal(start time.Time) *stealMeter {
-	m := &stealMeter{stop: make(chan struct{}), done: make(chan struct{})}
+// startSteal starts sampling at the window start. pids are the processes
+// of the system under test ("self": the benchmark); probe may be nil.
+func startSteal(start time.Time, pids []string, probe *rtProbe) *stealMeter {
+	m := &stealMeter{stop: make(chan struct{}), done: make(chan struct{}), probe: probe}
 	go func() {
 		defer close(m.done)
 		time.Sleep(time.Until(start))
 		prev := readSteal()
+		perSlice := resetHWM(pids) == nil
 		for k := 1; ; k++ {
 			t := time.NewTimer(time.Until(start.Add(time.Duration(k) * sliceLen)))
 			select {
@@ -71,6 +78,24 @@ func startSteal(start time.Time) *stealMeter {
 			cur := readSteal()
 			m.steal = append(m.steal, cur-prev)
 			prev = cur
+			if perSlice {
+				var sum int64
+				for _, pid := range pids {
+					hwm, err := procHWM(pid)
+					perSlice = perSlice && err == nil
+					sum += hwm
+				}
+				perSlice = perSlice && resetHWM(pids) == nil
+				m.hwm = append(m.hwm, sum)
+				if !perSlice {
+					m.hwm = nil
+				}
+			}
+			if m.probe != nil {
+				if rtt, err := m.probe.rttUS(); err == nil { // a failed ping leaves the slice out
+					m.rtt = append(m.rtt, rtt)
+				}
+			}
 		}
 	}()
 	return m
@@ -83,6 +108,27 @@ func (m *stealMeter) finish(start time.Time, window time.Duration) []int64 {
 	close(m.stop)
 	<-m.done
 	return m.steal
+}
+
+// rttUS is the median probe round trip in us after finish; 0 without a
+// probe.
+func (m *stealMeter) rttUS() float64 { return medianOrZero(m.rtt) }
+
+// sliceHWM is the median over the slices of the peak resident bytes in a
+// slice after finish; 0 where the peak could not be reset.
+func (m *stealMeter) sliceHWM() int64 {
+	xs := make([]float64, len(m.hwm))
+	for i, h := range m.hwm {
+		xs[i] = float64(h)
+	}
+	return int64(medianOrZero(xs))
+}
+
+func medianOrZero(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	return median(xs)
 }
 
 // readSteal returns the machine-wide stolen time in clock ticks from
