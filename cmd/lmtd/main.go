@@ -169,10 +169,7 @@ func (d *daemon) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
 		var req service.Request
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		resp, err := svc.Run(r.Context(), req)
@@ -184,10 +181,7 @@ func (d *daemon) handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req batchRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if len(req.Tasks) == 0 {
@@ -226,12 +220,36 @@ func (d *daemon) handler() http.Handler {
 		if d.cluster != nil {
 			metricGauge(w, "lmtd_cluster_peers", "Compute peers currently registered with the coordinator.", int64(d.cluster.Peers()))
 			metricCounter(w, "lmtd_cluster_sweep_chunks_total", "Source chunks dispatched to peers by distributed sweeps.", d.cluster.SweepChunks())
-			metricCounter(w, "lmtd_cluster_sync_batches_total", "Control-plane sync barriers folded by the coordinator (one per RoundsPerSync window).", d.cluster.SyncBatches())
+			// Always 0: round control rides the data frames, so the
+			// coordinator folds nothing. The line stays for readers that
+			// look the counter up by name.
+			metricCounter(w, "lmtd_cluster_sync_batches_total", "Always 0: round control rides the cluster data frames, so the coordinator folds no round reports.", 0)
 			metricCounter(w, "lmtd_cluster_round_wait_ns_total", "Nanoseconds peer engines spent blocked on inbound round frames, summed across peers and jobs.", d.cluster.RoundWaitNs())
 			writePeerResident(w, d.cluster.PeerResidentBytes())
 		}
 	})
 	return mux
+}
+
+// maxBodyBytes caps a request body. It equals the cluster control plane's
+// per-message cap, so any accepted request still fits a prepare message.
+const maxBodyBytes = 16 << 20
+
+// decodeBody decodes the capped JSON request body into v, rejecting
+// unknown fields. On failure it writes the error reply — 413 for an
+// oversized body, 400 otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		status := http.StatusBadRequest
+		if mbe := (*http.MaxBytesError)(nil); errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("decode request: %w", err))
+		return false
+	}
+	return true
 }
 
 // batchRequest is the POST /v1/batch body: one graph, many tasks.

@@ -169,11 +169,11 @@ func TestServerClusterSweepMetrics(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("cluster sweep returned %d: %v", status, out)
 	}
-	// An engine task barriers per speculation window, so the sync-batch and
-	// round-wait counters move off zero (sweeps never touch them).
+	// An engine task waits on inbound frames every round, so the round-wait
+	// counter moves off zero (sweeps never touch it).
 	out, status = postRun(t, ts.URL, service.Request{Graph: gs,
 		Task: spec.TaskSpec{Kind: spec.KindWalk, Source: 0, Steps: 16, Seed: 5,
-			Cluster: &spec.ClusterSpec{RoundsPerSync: 4}}})
+			Cluster: &spec.ClusterSpec{}}})
 	if status != http.StatusOK {
 		t.Fatalf("cluster walk returned %d: %v", status, out)
 	}
@@ -195,20 +195,61 @@ func TestServerClusterSweepMetrics(t *testing.T) {
 		"lmtd_cluster_sweep_chunks_total 3",
 		`lmtd_cluster_peer_resident_graph_bytes{peer="0"} `,
 		`lmtd_cluster_peer_resident_graph_bytes{peer="1"} `,
-		"lmtd_cluster_sync_batches_total ",
+		// Round control rides the data frames: the coordinator folds
+		// nothing, and the line stays for readers that look it up by name.
+		"lmtd_cluster_sync_batches_total 0\n",
 		"lmtd_cluster_round_wait_ns_total ",
 	} {
 		if !strings.Contains(body, line) {
 			t.Errorf("/metrics lacks %q", line)
 		}
 	}
-	for _, zero := range []string{
-		"lmtd_cluster_sync_batches_total 0\n",
-		"lmtd_cluster_round_wait_ns_total 0\n",
-	} {
-		if strings.Contains(body, zero) {
-			t.Errorf("/metrics counter stuck at zero after an engine run: %q", zero)
-		}
+	if strings.Contains(body, "lmtd_cluster_round_wait_ns_total 0\n") {
+		t.Error("/metrics round-wait counter stuck at zero after an engine run")
+	}
+}
+
+// TestServerBodyLimit: a request body past maxBodyBytes is refused with 413
+// on both POST routes, before it is buffered whole.
+func TestServerBodyLimit(t *testing.T) {
+	h := newHandler(service.New(service.Options{}))
+	for _, route := range []string{"/v1/run", "/v1/batch"} {
+		t.Run(strings.TrimPrefix(route, "/v1/"), func(t *testing.T) {
+			// A JSON string that never ends: the decoder reads until the cap.
+			body := io.MultiReader(strings.NewReader(`{"graph":{"family":"`),
+				io.LimitReader(zeros{}, maxBodyBytes+1))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, body))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("oversized body returned %d, want 413: %s", rec.Code, rec.Body)
+			}
+		})
+	}
+}
+
+// zeros is an endless stream of '0' bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
+}
+
+// TestServerRejectsRetiredSyncField: the retired roundsPerSync cluster field
+// is an unknown field now, so a request still carrying it is a 400.
+func TestServerRejectsRetiredSyncField(t *testing.T) {
+	ts := httptest.NewServer(newHandler(service.New(service.Options{})))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(
+		`{"graph":{"family":"path","n":8},"task":{"kind":"walk","steps":4,"cluster":{"roundsPerSync":8}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("roundsPerSync returned %d, want 400", resp.StatusCode)
 	}
 }
 

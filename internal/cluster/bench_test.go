@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -13,16 +12,14 @@ import (
 
 // BenchmarkTransportLoopbackVsTCP runs the same flooding task through the
 // in-process loopback transport and through a 2-peer localhost TCP cluster,
-// reporting rounds/sec (the barrier + frame-exchange cost per round) and
-// bytes/round (the halo traffic the frame codec batches). The computed
-// result is identical on every path — the determinism contract — so the
-// delta is pure transport overhead.
+// reporting rounds/sec (the frame-exchange cost per round — round control
+// rides the same frames) and bytes/round (the halo traffic plus the frame
+// headers). The computed result is identical on every path — the
+// determinism contract — so the delta is pure transport overhead.
 //
-// The tcp variants sweep injected RTT × sync cadence: rtt0 is raw localhost;
-// rtt1ms/rtt5ms wrap every cluster connection in a symmetric delay. sync1
-// barriers every round (the pre-pipelining wire protocol's cadence); sync8
-// batches eight rounds per control round-trip. The sync8/sync1 ratio at
-// nonzero RTT is the pipelining win this transport exists to buy.
+// The tcp variants sweep injected RTT: tcp-rtt0 is raw localhost;
+// tcp-rtt1ms and tcp-rtt5ms wrap every cluster connection in a symmetric
+// delay, so a round costs about one RTT.
 func BenchmarkTransportLoopbackVsTCP(b *testing.B) {
 	bgs := spec.GraphSpec{Family: "ringcliques", Blocks: 4, K: 8} // n = 32
 	g, err := bgs.Build()
@@ -43,33 +40,33 @@ func BenchmarkTransportLoopbackVsTCP(b *testing.B) {
 		b.ReportMetric(0, "bytes/round") // loopback moves no wire bytes
 	})
 
-	for _, rtt := range []time.Duration{0, time.Millisecond, 5 * time.Millisecond} {
-		for _, rps := range []int{1, 8} {
-			b.Run(fmt.Sprintf("tcp-rtt%s-sync%d", rtt, rps), func(b *testing.B) {
-				if rtt > 0 {
-					oneWay := rtt / 2
-					setTestConnWrap(func(c net.Conn) net.Conn { return delayWrites(c, oneWay) })
-					defer setTestConnWrap(nil)
+	for _, row := range []struct {
+		name string
+		rtt  time.Duration
+	}{{"tcp-rtt0", 0}, {"tcp-rtt1ms", time.Millisecond}, {"tcp-rtt5ms", 5 * time.Millisecond}} {
+		b.Run(row.name, func(b *testing.B) {
+			if row.rtt > 0 {
+				oneWay := row.rtt / 2
+				setTestConnWrap(func(c net.Conn) net.Conn { return delayWrites(c, oneWay) })
+				defer setTestConnWrap(nil)
+			}
+			c := startCluster(b, 2)
+			ctx := context.Background()
+			task := spec.TaskSpec{Kind: spec.KindLocal, Beta: 4, Eps: 0.05, Seed: 1, Cluster: &spec.ClusterSpec{}}
+			b.ResetTimer()
+			var rounds, wire int64
+			for i := 0; i < b.N; i++ {
+				got, err := c.Run(ctx, bgs, task)
+				if err != nil {
+					b.Fatal(err)
 				}
-				c := startCluster(b, 2)
-				ctx := context.Background()
-				task := spec.TaskSpec{Kind: spec.KindLocal, Beta: 4, Eps: 0.05, Seed: 1,
-					Cluster: &spec.ClusterSpec{RoundsPerSync: rps}}
-				b.ResetTimer()
-				var rounds, wire int64
-				for i := 0; i < b.N; i++ {
-					got, err := c.Run(ctx, bgs, task)
-					if err != nil {
-						b.Fatal(err)
-					}
-					res := got.(*core.Result)
-					rounds += int64(res.Stats.Rounds)
-					wire += res.Stats.WireBytes
-				}
-				b.ReportMetric(float64(rounds)/b.Elapsed().Seconds(), "rounds/sec")
-				b.ReportMetric(float64(wire)/float64(rounds), "bytes/round")
-			})
-		}
+				res := got.(*core.Result)
+				rounds += int64(res.Stats.Rounds)
+				wire += res.Stats.WireBytes
+			}
+			b.ReportMetric(float64(rounds)/b.Elapsed().Seconds(), "rounds/sec")
+			b.ReportMetric(float64(wire)/float64(rounds), "bytes/round")
+		})
 	}
 }
 

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,7 +22,7 @@ import (
 var graphSpec = spec.GraphSpec{Family: "ringcliques", Blocks: 4, K: 5}
 
 // testCtx caps every cluster exchange in this suite with a deadline, so a
-// wedged barrier or handshake fails the test instead of hanging it.
+// wedged round or handshake fails the test instead of hanging it.
 func testCtx(t *testing.T) context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	t.Cleanup(cancel)
@@ -132,10 +134,10 @@ func TestClusterRunMatchesSingleProcess(t *testing.T) {
 		}
 	})
 
-	t.Run("sync-batch", func(t *testing.T) {
-		// The any-R determinism contract over real TCP: batching the
-		// control barrier must not change a byte of the result, for every
-		// distributable kind, peer subset and cadence.
+	t.Run("peer-matrix", func(t *testing.T) {
+		// The determinism contract over real TCP for every distributable
+		// kind and peer subset: round control rides the frame headers, so
+		// each peer count must reproduce the single-process run exactly.
 		wantLocal, err := core.ApproxLocalMixingTime(g, 0, 4, 0.05, core.WithSeed(5))
 		if err != nil {
 			t.Fatal(err)
@@ -151,38 +153,33 @@ func TestClusterRunMatchesSingleProcess(t *testing.T) {
 		maskStats(wantLocal.Stats)
 		maskStats(wantMixing.Stats)
 		maskStats(wantWalk.Stats)
-		for _, rps := range []int{1, 4, 8} {
-			for _, peers := range []int{2, 3} {
-				cl := &spec.ClusterSpec{Peers: peers, RoundsPerSync: rps}
-				for kind, want := range map[string]any{"local": wantLocal, "mixing": wantMixing, "walk": wantWalk} {
-					var task spec.TaskSpec
-					switch kind {
-					case "local":
-						task = spec.TaskSpec{Kind: spec.KindLocal, Beta: 4, Eps: 0.05, Seed: 5, Cluster: cl}
-					case "mixing":
-						task = spec.TaskSpec{Kind: spec.KindMixing, Eps: 0.05, Seed: 7, Cluster: cl}
-					case "walk":
-						task = spec.TaskSpec{Kind: spec.KindWalk, Source: 13, Steps: 16, Seed: 5, Cluster: cl}
-					}
-					got, err := c.Run(ctx, graphSpec, task)
-					if err != nil {
-						t.Fatalf("rps=%d peers=%d %s: %v", rps, peers, kind, err)
-					}
-					switch r := got.(type) {
-					case *core.Result:
-						maskStats(r.Stats)
-					case *core.TokenWalkResult:
-						maskStats(r.Stats)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("rps=%d peers=%d: %s result differs from single-process:\n  cluster %+v\n  direct  %+v",
-							rps, peers, kind, got, want)
-					}
+		for _, peers := range []int{2, 3} {
+			cl := &spec.ClusterSpec{Peers: peers}
+			for kind, want := range map[string]any{"local": wantLocal, "mixing": wantMixing, "walk": wantWalk} {
+				var task spec.TaskSpec
+				switch kind {
+				case "local":
+					task = spec.TaskSpec{Kind: spec.KindLocal, Beta: 4, Eps: 0.05, Seed: 5, Cluster: cl}
+				case "mixing":
+					task = spec.TaskSpec{Kind: spec.KindMixing, Eps: 0.05, Seed: 7, Cluster: cl}
+				case "walk":
+					task = spec.TaskSpec{Kind: spec.KindWalk, Source: 13, Steps: 16, Seed: 5, Cluster: cl}
+				}
+				got, err := c.Run(ctx, graphSpec, task)
+				if err != nil {
+					t.Fatalf("peers=%d %s: %v", peers, kind, err)
+				}
+				switch r := got.(type) {
+				case *core.Result:
+					maskStats(r.Stats)
+				case *core.TokenWalkResult:
+					maskStats(r.Stats)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("peers=%d: %s result differs from single-process:\n  cluster %+v\n  direct  %+v",
+						peers, kind, got, want)
 				}
 			}
-		}
-		if c.SyncBatches() == 0 {
-			t.Error("coordinator recorded no barrier folds")
 		}
 	})
 
@@ -323,8 +320,8 @@ func TestServiceClusterDispatch(t *testing.T) {
 	}
 }
 
-// TestClusterCancellation: a canceled context aborts the job at the next
-// round barrier without wedging the coordinator.
+// TestClusterCancellation: a context canceled before Run aborts the job
+// without wedging the coordinator.
 func TestClusterCancellation(t *testing.T) {
 	c := startCluster(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -333,4 +330,108 @@ func TestClusterCancellation(t *testing.T) {
 	if err == nil {
 		t.Fatal("canceled run returned a result")
 	}
+}
+
+// longWalk is a walk of 2^18 rounds — several seconds over localhost TCP,
+// so a test can act on it while it runs.
+var longWalk = spec.TaskSpec{Kind: spec.KindWalk, Source: 0, Steps: 1 << 18, Seed: 3}
+
+// checkServesWalk runs a short walk on c and requires the single-process
+// answer: the peers survived whatever the test did to the previous job.
+func checkServesWalk(t *testing.T, ctx context.Context, c *Coordinator) {
+	t.Helper()
+	got, err := c.Run(ctx, graphSpec, spec.TaskSpec{Kind: spec.KindWalk, Source: 13, Steps: 16, Seed: 5})
+	if err != nil {
+		t.Fatalf("cluster unusable after the aborted job: %v", err)
+	}
+	g, err := graphSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.TokenWalk(g, 13, 16, core.WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	maskStats(got.(*core.TokenWalkResult).Stats)
+	maskStats(want.Stats)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("walk after the aborted job differs from single-process:\n  cluster %+v\n  direct  %+v", got, want)
+	}
+}
+
+// awaitMesh installs a connection hook that reports the mesh connections
+// of the next job (registration is over, so only they pass through it).
+// The hook is removed at test cleanup.
+func awaitMesh(t *testing.T) <-chan net.Conn {
+	// Room for all six connections of a 3-peer mesh and then some; the
+	// hook drops what does not fit, so it never blocks a dial or accept.
+	mesh := make(chan net.Conn, 8)
+	setTestConnWrap(func(conn net.Conn) net.Conn {
+		select {
+		case mesh <- conn:
+		default:
+		}
+		return conn
+	})
+	t.Cleanup(func() { setTestConnWrap(nil) })
+	return mesh
+}
+
+// TestClusterCancellationMidRun: canceling a running job sends every peer
+// an abort, which closes its mesh under the engine, so every peer's next
+// Exchange fails and the job returns within a round or so, long before
+// the walk could finish. The peers stay registered and serve the next job
+// exactly.
+func TestClusterCancellationMidRun(t *testing.T) {
+	c := startCluster(t, 2)
+	base := testCtx(t)
+	ctx, cancel := context.WithCancel(base)
+	defer cancel()
+	mesh := awaitMesh(t)
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Run(ctx, graphSpec, longWalk)
+		done <- err
+	}()
+	<-mesh
+	time.Sleep(20 * time.Millisecond) // let rounds flow
+	cancel()
+	start := time.Now()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled walk returned %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("the job returned %v after the cancel: the peers ran on", d)
+	}
+	if c.RoundWaitNs() == 0 {
+		t.Fatal("the peers never exchanged a frame: the cancel landed before the run started")
+	}
+	checkServesWalk(t, base, c)
+}
+
+// TestClusterMeshLinkKilled: a data-plane link dying mid-run fails the
+// Exchange at both of its ends; each failing peer closes its whole mesh,
+// so the third peer fails too, and the coordinator returns an error
+// instead of hanging. The peers then serve the next job exactly.
+func TestClusterMeshLinkKilled(t *testing.T) {
+	c := startCluster(t, 3)
+	ctx := testCtx(t)
+	mesh := awaitMesh(t)
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Run(ctx, graphSpec, longWalk)
+		done <- err
+	}()
+	victim := <-mesh
+	time.Sleep(100 * time.Millisecond) // let rounds flow
+	victim.Close()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("walk over a killed mesh link returned a result")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("coordinator hung after a mesh link died")
+	}
+	checkServesWalk(t, ctx, c)
 }

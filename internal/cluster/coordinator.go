@@ -16,10 +16,10 @@ import (
 )
 
 // Coordinator accepts peer registrations and executes cluster jobs over
-// them: it dispatches the job spec, folds the per-round reports
-// (congest.MergeReports), collects the per-peer results, and assembles the
-// single-process-equivalent answer. One job runs at a time; concurrent Run
-// calls serialize.
+// them: it dispatches the job spec, collects the per-peer results, and
+// assembles the single-process-equivalent answer. It is never on the round
+// path — peers take every round decision from the reports in their frame
+// headers. One job runs at a time; concurrent Run calls serialize.
 type Coordinator struct {
 	ln net.Listener
 
@@ -33,10 +33,6 @@ type Coordinator struct {
 	// chunks counts sweep chunks dispatched to peers, cumulatively across
 	// jobs (the lmtd_cluster_sweep_chunks_total metric).
 	chunks atomic.Int64
-	// syncBatches counts barrier folds — one per speculation window, so
-	// RoundsPerSync=8 folds ~1/8th as often as every-round syncing
-	// (the lmtd_cluster_sync_batches_total metric).
-	syncBatches atomic.Int64
 	// roundWait accumulates the nanoseconds peers reported blocked on
 	// inbound frames (the lmtd_cluster_round_wait_ns_total metric).
 	roundWait atomic.Int64
@@ -146,10 +142,6 @@ func (c *Coordinator) admit(conn net.Conn) {
 // the coordinator started, across all jobs.
 func (c *Coordinator) SweepChunks() int64 { return c.chunks.Load() }
 
-// SyncBatches returns the number of round-barrier folds performed since
-// the coordinator started: one per speculation window, across all jobs.
-func (c *Coordinator) SyncBatches() int64 { return c.syncBatches.Load() }
-
 // RoundWaitNs returns the cumulative nanoseconds peers reported blocked on
 // inbound frames, across all jobs — the coarse measure of how much wire
 // latency the pipelined exchange failed to hide.
@@ -184,77 +176,7 @@ func (c *Coordinator) drop(pc *peerConn) {
 	pc.conn.Close()
 }
 
-// foldBarrier is the coordinator half of the round barrier: each runPeer
-// goroutine submits its peer's report batch (one speculation window); the
-// last arrival folds the generation with congest.MergeReportBatch and
-// releases the rest. fail breaks the barrier permanently — current and
-// future waiters receive a batch carrying the failure, which every healthy
-// peer turns into a clean abort.
-type foldBarrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	peers   int
-	batches [][]congest.RoundReport
-	merged  []congest.RoundReport
-	gen     int
-	broken  string
-	// folds counts completed generations into the coordinator's
-	// syncBatches metric.
-	folds *atomic.Int64
-}
-
-func newFoldBarrier(peers int, folds *atomic.Int64) *foldBarrier {
-	b := &foldBarrier{peers: peers, folds: folds}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// poisoned mirrors the submitted batch with every report carrying the
-// breakage, so the engine aborts at the window's first round. Callers hold
-// b.mu.
-func (b *foldBarrier) poisoned(batch []congest.RoundReport) []congest.RoundReport {
-	out := make([]congest.RoundReport, len(batch))
-	for i := range out {
-		out[i] = congest.RoundReport{Round: batch[i].Round, MinWake: congest.NoWake, Err: b.broken}
-	}
-	return out
-}
-
-func (b *foldBarrier) sync(batch []congest.RoundReport) []congest.RoundReport {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.broken != "" {
-		return b.poisoned(batch)
-	}
-	gen := b.gen
-	b.batches = append(b.batches, batch)
-	if len(b.batches) == b.peers {
-		b.merged = congest.MergeReportBatch(b.batches)
-		b.batches = b.batches[:0]
-		b.gen++
-		b.folds.Add(1)
-		b.cond.Broadcast()
-		return b.merged
-	}
-	for b.gen == gen && b.broken == "" {
-		b.cond.Wait()
-	}
-	if b.gen == gen { // released by fail, not by the fold
-		return b.poisoned(batch)
-	}
-	return b.merged
-}
-
-func (b *foldBarrier) fail(msg string) {
-	b.mu.Lock()
-	if b.broken == "" {
-		b.broken = msg
-	}
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// peerOutcome is what one runPeer goroutine collected.
+// peerOutcome is what one peer's collection goroutine gathered.
 type peerOutcome struct {
 	result json.RawMessage
 	stats  *congest.Stats
@@ -272,16 +194,17 @@ type peerOutcome struct {
 // determinism contract makes the rest of the result identical to the
 // single-process run with the same seed.
 //
-// Cancelling ctx aborts an engine job at its next round barrier and a sweep
-// job at its next chunk boundary (peers stay registered); peer-side errors
-// and dropped peers abort it the same way.
+// Cancelling ctx aborts an engine job within a round — every peer closes
+// its mesh, so every Exchange fails — and a sweep job at its next chunk
+// boundary; peers stay registered. A dropped peer aborts the other peers
+// the same way.
 func (c *Coordinator) Run(ctx context.Context, gs spec.GraphSpec, ts spec.TaskSpec) (any, error) {
 	c.runMu.Lock()
 	defer c.runMu.Unlock()
 
-	want, rps := 0, 0
+	want := 0
 	if ts.Cluster != nil {
-		want, rps = ts.Cluster.Peers, ts.Cluster.RoundsPerSync
+		want = ts.Cluster.Peers
 	}
 	ts.Cluster = nil // peers run the task directly; the routing fields are spent
 	c.mu.Lock()
@@ -330,7 +253,7 @@ func (c *Coordinator) Run(ctx context.Context, gs spec.GraphSpec, ts spec.TaskSp
 	var firstErr error
 	prepared := 0
 	for p, pc := range peers {
-		if err := pc.enc.Encode(ctrlMsg{Type: msgPrepare, Peer: p, Peers: want, Graph: &gs, Task: &ts, Sync: rps}); err != nil {
+		if err := pc.enc.Encode(ctrlMsg{Type: msgPrepare, Peer: p, Peers: want, Graph: &gs, Task: &ts}); err != nil {
 			firstErr = fmt.Errorf("cluster: peer %d: send prepare: %w", p, err)
 			c.drop(pc)
 			break
@@ -372,15 +295,11 @@ func (c *Coordinator) Run(ctx context.Context, gs spec.GraphSpec, ts spec.TaskSp
 		return nil, firstErr
 	}
 
-	bar := newFoldBarrier(want, &c.syncBatches)
 	started := 0
 	for p, pc := range peers {
 		if err := pc.enc.Encode(ctrlMsg{Type: msgStart, Addrs: addrs}); err != nil {
 			firstErr = fmt.Errorf("cluster: peer %d: send start: %w", p, err)
 			c.drop(pc)
-			// Peers 0..p-1 are already meshing; break the barrier so they
-			// abort at round 0, and abort the unstarted rest outright.
-			bar.fail(firstErr.Error())
 			for _, rest := range peers[p+1:] {
 				rest.enc.Encode(ctrlMsg{Type: msgAbort})
 			}
@@ -389,14 +308,28 @@ func (c *Coordinator) Run(ctx context.Context, gs spec.GraphSpec, ts spec.TaskSp
 		started++
 	}
 
-	// Collection: one goroutine per started peer answers its round syncs
-	// with the barrier fold and terminates on its result message. Every
-	// failure path — dropped peer, peer-reported error, ctx cancellation —
-	// converges through bar.fail, which the healthy peers observe at their
-	// next barrier and abort cleanly.
-	stopCancel := context.AfterFunc(ctx, func() {
-		bar.fail("cluster: run canceled: " + context.Cause(ctx).Error())
-	})
+	// Collection: one goroutine per started peer awaits its result. Every
+	// started peer then gets exactly one terminal message: done once all
+	// results are in — a peer closes its mesh on it, and by then no peer
+	// still reads its frames — or abort on a failed start, ctx
+	// cancellation, or a lost control connection. An abort makes the peer
+	// close its mesh at once, so every peer still running fails its next
+	// Exchange and reports back. A peer-reported error needs no abort: an
+	// engine error reaches every peer in its round's frame headers, and a
+	// failed link fails the Exchange at both of its ends.
+	term := make([]sync.Once, started)
+	end := func(p int, typ string) {
+		term[p].Do(func() { peers[p].enc.Encode(ctrlMsg{Type: typ}) }) // best effort
+	}
+	abortAll := func() {
+		for p := range term {
+			end(p, msgAbort)
+		}
+	}
+	if firstErr != nil {
+		abortAll()
+	}
+	stopCancel := context.AfterFunc(ctx, abortAll)
 	defer stopCancel()
 	outs := make([]peerOutcome, started)
 	var wg sync.WaitGroup
@@ -404,10 +337,16 @@ func (c *Coordinator) Run(ctx context.Context, gs spec.GraphSpec, ts spec.TaskSp
 		wg.Add(1)
 		go func(p int, pc *peerConn) {
 			defer wg.Done()
-			c.runPeer(p, pc, bar, &outs[p])
+			out := &outs[p]
+			if c.awaitResult(pc, out); out.err != nil {
+				abortAll()
+			}
 		}(p, pc)
 	}
 	wg.Wait()
+	for p := range term {
+		end(p, msgDone)
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -417,49 +356,24 @@ func (c *Coordinator) Run(ctx context.Context, gs spec.GraphSpec, ts spec.TaskSp
 	return assemble(ts, outs)
 }
 
-// runPeer drives one peer's control connection through a job: fold each
-// sync into the barrier, reply with the merged round report, stop at the
-// peer's result. A peer-reported result error breaks the barrier too, so
-// peers still mid-run (e.g. when this one failed mesh setup before its
-// first report) abort instead of waiting for its reports forever.
-func (c *Coordinator) runPeer(p int, pc *peerConn, bar *foldBarrier, out *peerOutcome) {
-	fail := func(err error) {
-		bar.fail(fmt.Sprintf("peer %d: %v", p, err))
+// awaitResult reads one peer's result message into out. A control-plane
+// failure drops the peer.
+func (c *Coordinator) awaitResult(pc *peerConn, out *peerOutcome) {
+	var m ctrlMsg
+	if err := pc.rd.next(&m); err != nil {
+		out.err = fmt.Errorf("control connection: %w", err)
+	} else if m.Type != msgResult {
+		out.err = fmt.Errorf("unexpected control message %q mid-run", m.Type)
+	}
+	if out.err != nil {
 		c.drop(pc)
-		out.err = err
+		return
 	}
-	for {
-		var m ctrlMsg
-		if err := pc.rd.next(&m); err != nil {
-			fail(fmt.Errorf("control connection: %w", err))
-			return
-		}
-		switch m.Type {
-		case msgSync:
-			if len(m.Reports) == 0 {
-				fail(errors.New("sync without reports"))
-				return
-			}
-			merged := bar.sync(m.Reports)
-			if err := pc.enc.Encode(ctrlMsg{Type: msgRound, Reports: merged}); err != nil {
-				fail(fmt.Errorf("send merged reports: %w", err))
-				return
-			}
-		case msgResult:
-			out.result = m.Result
-			out.stats = m.Stats
-			out.auth = m.Authoritative
-			out.errS = m.Err
-			c.roundWait.Add(m.WaitNs)
-			if m.Err != "" {
-				bar.fail(fmt.Sprintf("peer %d: %s", p, m.Err))
-			}
-			return
-		default:
-			fail(fmt.Errorf("unexpected control message %q mid-run", m.Type))
-			return
-		}
-	}
+	out.result = m.Result
+	out.stats = m.Stats
+	out.auth = m.Authoritative
+	out.errS = m.Err
+	c.roundWait.Add(m.WaitNs)
 }
 
 // assemble folds the per-peer outcomes into the single-process-equivalent

@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/congest/frame"
@@ -50,14 +53,21 @@ func closeLinks(links []*meshLink) {
 // higher-indexed one (identified by theirs). Dials succeed as soon as the
 // remote listener exists — the TCP handshake does not wait for Accept — so
 // the sequential dial-then-accept order cannot deadlock across peers.
-func setupMesh(self int, addrs []string, ln net.Listener) ([]*meshLink, error) {
+// Canceling ctx (the job was aborted) fails a pending dial or accept. The
+// job's listener is closed on return either way, so a peer that dialed in
+// while this one failed is reset instead of left waiting for a frame.
+func setupMesh(ctx context.Context, self int, addrs []string, ln net.Listener) ([]*meshLink, error) {
 	links := make([]*meshLink, len(addrs))
 	fail := func(err error) ([]*meshLink, error) {
 		closeLinks(links)
 		return nil, err
 	}
+	defer ln.Close()
+	stop := context.AfterFunc(ctx, func() { ln.Close() })
+	defer stop()
+	d := net.Dialer{Timeout: meshDialTimeout}
 	for q := 0; q < self; q++ {
-		conn, err := net.DialTimeout("tcp", addrs[q], meshDialTimeout)
+		conn, err := d.DialContext(ctx, "tcp", addrs[q])
 		if err != nil {
 			return fail(fmt.Errorf("cluster: peer %d: dial mesh peer %d at %s: %w", self, q, addrs[q], err))
 		}
@@ -94,9 +104,9 @@ func setupMesh(self int, addrs []string, ln net.Listener) ([]*meshLink, error) {
 // inFrame is one decoded inbound frame, handed from a link's reader
 // goroutine to the engine.
 type inFrame struct {
-	round, peer int
-	recs        []frame.Record
-	err         error
+	h    frame.Header
+	recs []frame.Record
+	err  error
 }
 
 // linkWriter owns the write side of one link. The engine encodes a round's
@@ -126,15 +136,18 @@ type linkReader struct {
 // reader goroutines so serialization, syscalls and wire latency overlap
 // the engine's compute. Outbound frames start flowing the moment the step
 // phase ends; inbound frames for the next round are read off the wire
-// while the engine is still delivering the current one.
+// while the engine is still delivering the current one. Each frame's
+// header carries the sender's round report, so the exchange is also the
+// round's control step.
 type meshExchanger struct {
-	self   int
-	links  []*meshLink // indexed by peer; nil at self
-	wr     []*linkWriter
-	rd     []*linkReader
-	in     [][]frame.Record
-	done   chan struct{}
-	closed bool
+	self  int
+	links []*meshLink // indexed by peer; nil at self
+	wr    []*linkWriter
+	rd    []*linkReader
+	in    [][]frame.Record
+	reps  []frame.Report
+	done  chan struct{}
+	once  sync.Once
 	// waitNs accumulates the time Exchange spent blocked on inbound frames
 	// (the lmtd_cluster_round_wait_ns_total metric): near zero when the
 	// pipeline hides the wire, one RTT per round when it cannot.
@@ -148,6 +161,7 @@ func newMeshExchanger(self int, links []*meshLink) *meshExchanger {
 		wr:    make([]*linkWriter, len(links)),
 		rd:    make([]*linkReader, len(links)),
 		in:    make([][]frame.Record, len(links)),
+		reps:  make([]frame.Report, len(links)),
 		done:  make(chan struct{}),
 	}
 	for q, l := range links {
@@ -185,10 +199,11 @@ func writeLoop(l *meshLink, w *linkWriter, done chan struct{}) {
 func readLoop(l *meshLink, r *linkReader, done chan struct{}) {
 	for i := 0; ; i++ {
 		slot := i % len(r.bufs)
-		round, peer, recs, _, err := l.r.ReadFrameAppend(r.bufs[slot][:0])
+		var h frame.Header
+		recs, _, err := l.r.ReadFrameAppend(&h, r.bufs[slot][:0])
 		r.bufs[slot] = recs
 		select {
-		case r.ch <- inFrame{round: round, peer: peer, recs: recs, err: err}:
+		case r.ch <- inFrame{h: h, recs: recs, err: err}:
 		case <-done:
 			return
 		}
@@ -198,56 +213,72 @@ func readLoop(l *meshLink, r *linkReader, done chan struct{}) {
 	}
 }
 
+// errMeshClosed is what Exchange returns once the mesh is closed — by a
+// failed link, or by an aborted job.
+var errMeshClosed = errors.New("cluster: mesh closed")
+
 // Exchange launches this round's writes, then collects one inbound frame
 // per link in ascending peer order. The returned slices are the reader
 // goroutines' rotating buffers: the slot handed out for round r is not
 // refilled before the engine takes round r+1's frame — exactly the
-// congest.Exchanger lifetime contract.
-func (e *meshExchanger) Exchange(round int, out [][]frame.Record) ([][]frame.Record, error) {
+// congest.Exchanger lifetime contract. A concurrent Close makes a blocked
+// Exchange return errMeshClosed.
+func (e *meshExchanger) Exchange(round int, rep frame.Report, out [][]frame.Record) ([][]frame.Record, []frame.Report, error) {
+	h := frame.Header{Round: round, Peer: e.self, Report: rep}
 	for q, w := range e.wr {
 		if w == nil {
 			continue
 		}
 		if w.pending {
-			if err := <-w.ack; err != nil {
-				return e.fail(fmt.Errorf("cluster: mesh write to peer %d: %w", q, err))
+			select {
+			case err := <-w.ack:
+				if err != nil {
+					return e.fail(fmt.Errorf("cluster: mesh write to peer %d: %w", q, err))
+				}
+			case <-e.done:
+				return e.fail(errMeshClosed)
 			}
 		}
-		w.buf = frame.Append(w.buf[:0], round, e.self, out[q])
+		w.buf = frame.AppendFrame(w.buf[:0], &h, out[q])
 		w.ch <- w.buf // cap 1, writer idle after the ack: never blocks
 		w.pending = true
 	}
 	start := time.Now()
 	for q, r := range e.rd {
 		if r == nil {
-			e.in[q] = nil
+			e.in[q], e.reps[q] = nil, frame.Report{}
 			continue
 		}
-		f := <-r.ch
+		var f inFrame
+		select {
+		case f = <-r.ch:
+		case <-e.done:
+			return e.fail(errMeshClosed)
+		}
 		if f.err != nil {
 			return e.fail(fmt.Errorf("cluster: read frame from peer %d: %w", q, f.err))
 		}
-		if f.round != round || f.peer != q {
-			return e.fail(fmt.Errorf("cluster: peer %d sent frame (round %d, peer %d), want (round %d, peer %d)", q, f.round, f.peer, round, q))
+		if f.h.Round != round || f.h.Peer != q {
+			return e.fail(fmt.Errorf("cluster: peer %d sent frame (round %d, peer %d), want (round %d, peer %d)", q, f.h.Round, f.h.Peer, round, q))
 		}
-		e.in[q] = f.recs
+		e.in[q], e.reps[q] = f.recs, f.h.Report
 	}
 	e.waitNs += time.Since(start).Nanoseconds()
-	return e.in, nil
+	return e.in, e.reps, nil
 }
 
-func (e *meshExchanger) fail(err error) ([][]frame.Record, error) {
+func (e *meshExchanger) fail(err error) ([][]frame.Record, []frame.Report, error) {
 	e.Close()
-	return nil, err
+	return nil, nil, err
 }
 
 // Close tears down the mesh: stops the per-link goroutines and closes the
-// connections. Idempotent; the exchanger is unusable afterwards. Must be
-// called from the engine's goroutine (like Exchange).
+// connections. Idempotent and safe from any goroutine — an aborted job
+// closes the mesh under a running engine, whose Exchange then fails; the
+// exchanger is unusable afterwards.
 func (e *meshExchanger) Close() {
-	if !e.closed {
-		e.closed = true
+	e.once.Do(func() {
 		close(e.done)
-	}
-	closeLinks(e.links)
+		closeLinks(e.links)
+	})
 }

@@ -137,35 +137,11 @@ func (ps *peerState) sweepPoolFor(graphKey string, g *graph.Graph, t spec.TaskSp
 	return p, nil
 }
 
-// ctrlBarrier is the peer half of the round barrier, riding the control
-// connection: one sync up, one merged batch down, per speculation window
-// (one window = up to RoundsPerSync engine rounds). The engine calls Sync
-// from exactly one goroutine, and nothing else uses the connection during
-// a run.
-type ctrlBarrier struct {
-	enc *json.Encoder
-	rd  *ctrlReader
-}
-
-func (b *ctrlBarrier) Sync(batch []congest.RoundReport) ([]congest.RoundReport, error) {
-	if err := b.enc.Encode(ctrlMsg{Type: msgSync, Reports: batch}); err != nil {
-		return nil, fmt.Errorf("cluster: send round reports: %w", err)
-	}
-	var m ctrlMsg
-	if err := b.rd.next(&m); err != nil {
-		return nil, fmt.Errorf("cluster: await merged reports: %w", err)
-	}
-	if m.Type != msgRound || len(m.Reports) == 0 {
-		return nil, fmt.Errorf("cluster: unexpected control message %q awaiting merged reports", m.Type)
-	}
-	return m.Reports, nil
-}
-
-// runJob executes one prepare→result (or prepare→chunks→done) cycle. The
-// returned error is a control-transport failure (the peer cannot continue);
-// job-local failures — bad spec, mesh trouble, engine errors — are reported
-// to the coordinator in the ready, result, or chunkres message and leave
-// the peer serving.
+// runJob executes one prepare→result→done (or prepare→chunks→done) cycle.
+// The returned error is a control-transport failure (the peer cannot
+// continue); job-local failures — bad spec, mesh trouble, engine errors, an
+// abort — are reported to the coordinator in the ready, result, or chunkres
+// message and leave the peer serving.
 func runJob(conn net.Conn, enc *json.Encoder, rd *ctrlReader, ps *peerState, m *ctrlMsg) error {
 	self, peers := m.Peer, m.Peers
 	sweepJob := m.Task != nil && m.Task.Kind == spec.KindSweep
@@ -224,49 +200,60 @@ func runJob(conn net.Conn, enc *json.Encoder, rd *ctrlReader, ps *peerState, m *
 		}
 		return serveSweep(enc, rd, pool, jobErr)
 	}
+	// The coordinator sends one more message: done once every peer's
+	// result is in, or abort, possibly mid-run. The watcher reads it and
+	// cancels the job either way, which closes the mesh: under the running
+	// engine on abort, so its next Exchange fails; after done, only when no
+	// peer can still be reading our final frames.
+	job, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	term := make(chan error, 1)
+	go func() {
+		var m ctrlMsg
+		err := rd.next(&m)
+		cancel()
+		switch {
+		case errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed):
+			// The coordinator shut down after our result: Serve's next
+			// read meets the same end and exits cleanly.
+			err = nil
+		case err != nil:
+			err = fmt.Errorf("cluster: await done: %w", err)
+		case m.Type != msgDone && m.Type != msgAbort:
+			err = fmt.Errorf("cluster: unexpected control message %q mid-run", m.Type)
+		}
+		term <- err
+	}()
+
 	res := ctrlMsg{Type: msgResult, Peer: self}
 	if jobErr != nil {
 		// A coordinator bug: it started a job we reported unready. Answer
 		// with the error rather than meshing.
 		res.Err = jobErr.Error()
-		return sendResult(enc, &res)
-	}
-
-	links, err := setupMesh(self, sm.Addrs, ln)
-	if err != nil {
+	} else if links, err := setupMesh(job, self, sm.Addrs, ln); err != nil {
 		res.Err = err.Error()
-		return sendResult(enc, &res)
-	}
-	ex := newMeshExchanger(self, links)
-	defer ex.Close()
-	out, stats, auth, runErr := runClusterTask(g, *m.Task, &congest.ClusterConfig{
-		Peer:          self,
-		Peers:         peers,
-		Exchange:      ex,
-		Barrier:       &ctrlBarrier{enc: enc, rd: rd},
-		RoundsPerSync: m.Sync,
-	})
-	res.Stats = stats
-	res.Authoritative = auth
-	res.WaitNs = ex.waitNs
-	if runErr != nil {
-		res.Err = runErr.Error()
-	} else if auth {
-		b, err := json.Marshal(out)
-		if err != nil {
-			res.Err = fmt.Sprintf("cluster: encode result: %v", err)
-		} else {
-			res.Result = b
+	} else {
+		ex := newMeshExchanger(self, links)
+		context.AfterFunc(job, ex.Close)
+		out, stats, auth, runErr := runClusterTask(g, *m.Task, &congest.ClusterConfig{Peer: self, Peers: peers, Exchange: ex})
+		res.Stats = stats
+		res.Authoritative = auth
+		res.WaitNs = ex.waitNs
+		if runErr != nil {
+			res.Err = runErr.Error()
+		} else if auth {
+			b, err := json.Marshal(out)
+			if err != nil {
+				res.Err = fmt.Sprintf("cluster: encode result: %v", err)
+			} else {
+				res.Result = b
+			}
 		}
 	}
-	return sendResult(enc, &res)
-}
-
-func sendResult(enc *json.Encoder, res *ctrlMsg) error {
-	if err := enc.Encode(res); err != nil {
+	if err := enc.Encode(&res); err != nil {
 		return fmt.Errorf("cluster: send result: %w", err)
 	}
-	return nil
+	return <-term
 }
 
 // runClusterTask runs the task as this peer's shard through the same core

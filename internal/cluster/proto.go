@@ -18,15 +18,20 @@ import (
 // exchange:
 //
 //	peer → coord   hello                       once, on connect
-//	coord → peer   prepare{peer, peers, graph, task, sync}
+//	coord → peer   prepare{peer, peers, graph, task}
 //	peer → coord   ready{mesh}                 mesh listener address, or err
 //	coord → peer   start{addrs} | abort        abort when any peer's ready failed
-//	peer → coord   sync{reports}               once per speculation window (≤ sync rounds)
-//	coord → peer   round{reports}              the MergeReportBatch fold
 //	peer → coord   result{result, stats, waitNs, authoritative} or result{err}
+//	coord → peer   done | abort                exactly one per started peer
 //
-// Sweep jobs replace the sync/round/result phase with a chunk loop — no
-// data-plane mesh, just source fan-out on the control connection:
+// Nothing crosses the control plane while an engine job runs: round
+// control rides the data-plane frame headers. The coordinator's one
+// terminal message is done after the peer's result, or abort — on
+// cancellation or another peer's failure — which may arrive mid-run and
+// makes the peer close its mesh.
+//
+// Sweep jobs replace the result phase with a chunk loop — no data-plane
+// mesh, just source fan-out on the control connection:
 //
 //	coord → peer   chunk{sources}              one canonical source chunk
 //	peer → coord   chunkres{result} or chunkres{err}
@@ -41,8 +46,6 @@ const (
 	msgReady    = "ready"
 	msgStart    = "start"
 	msgAbort    = "abort"
-	msgSync     = "sync"
-	msgRound    = "round"
 	msgResult   = "result"
 	msgChunk    = "chunk"
 	msgChunkRes = "chunkres"
@@ -62,11 +65,6 @@ type ctrlMsg struct {
 	// Graph and Task describe the job (prepare).
 	Graph *spec.GraphSpec `json:"graph,omitempty"`
 	Task  *spec.TaskSpec  `json:"task,omitempty"`
-	// Sync is the job's rounds-per-sync barrier cadence (prepare).
-	Sync int `json:"sync,omitempty"`
-	// Reports is one peer's report batch for a speculation window (sync) or
-	// the merged fold of every peer's batch (round).
-	Reports []congest.RoundReport `json:"reports,omitempty"`
 	// Result is the kind-specific result JSON: the authoritative peer's
 	// answer (result), or one chunk's []*core.Result (chunkres).
 	Result json.RawMessage `json:"result,omitempty"`

@@ -37,21 +37,17 @@ func TestClusterSweepMatchesSingleProcess(t *testing.T) {
 		c := startCluster(t, peers)
 		ctx := testCtx(t)
 
-		// RoundsPerSync is inert for sweeps (chunks carry no barrier), but
-		// the spec must be accepted at every cadence with identical output.
 		want := refSweep(t, 4, 0.05, 5, core.SweepOptions{})
-		for _, rps := range []int{0, 1, 4, 8} {
-			got, err := c.Run(ctx, graphSpec, spec.TaskSpec{Kind: spec.KindSweep, Beta: 4, Eps: 0.05, Seed: 5,
-				Cluster: &spec.ClusterSpec{RoundsPerSync: rps}})
-			if err != nil {
-				t.Fatalf("%d peers rps=%d: %v", peers, rps, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d-peer rps=%d sweep differs from single-process:\n  cluster %+v\n  direct  %+v", peers, rps, got, want)
-			}
+		got, err := c.Run(ctx, graphSpec, spec.TaskSpec{Kind: spec.KindSweep, Beta: 4, Eps: 0.05, Seed: 5,
+			Cluster: &spec.ClusterSpec{}})
+		if err != nil {
+			t.Fatalf("%d peers: %v", peers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d-peer sweep differs from single-process:\n  cluster %+v\n  direct  %+v", peers, got, want)
 		}
 
-		got, err := c.Run(ctx, graphSpec, spec.TaskSpec{Kind: spec.KindSweep, Beta: 4, Eps: 0.05, Seed: 5, Sample: 7})
+		got, err = c.Run(ctx, graphSpec, spec.TaskSpec{Kind: spec.KindSweep, Beta: 4, Eps: 0.05, Seed: 5, Sample: 7})
 		if err != nil {
 			t.Fatalf("%d peers, sample: %v", peers, err)
 		}

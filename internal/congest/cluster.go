@@ -3,7 +3,6 @@ package congest
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/congest/frame"
 )
@@ -13,11 +12,13 @@ import (
 // owns — steps, seeds, delivers to — only a contiguous vertex range
 // [Peer·n/Peers, (Peer+1)·n/Peers). Remote-destined messages are batched
 // into one frame per peer per round (package frame) and exchanged through
-// the ClusterConfig.Exchange hook; global control decisions (stop,
-// round-limit abort, fast-forward) are replicated from the merged per-round
-// reports returned by the ClusterConfig.Barrier hook — synced every round,
-// or every RoundsPerSync rounds with speculative roll-forward in between
-// (see runCluster).
+// the ClusterConfig.Exchange hook — every round, to every peer, even when
+// empty. Round control rides the same frames: each frame's header carries
+// the sender's round report (frame.Report), and after the exchange every
+// peer folds all P reports itself. The global decisions — stop, round-limit
+// abort, error abort, fast-forward — are then taken by Run's one round loop
+// from the same folded values on every peer, in the same round, with no
+// coordinator on the round path.
 //
 // Determinism contract: a cluster run with any peer count produces results
 // DeepEqual to the single-process run with the same seed. Three properties
@@ -29,105 +30,18 @@ import (
 // peer order (peers own ascending id ranges, and each frame is filled in
 // that same canonical order by its sender).
 
-// NoWake is the MinWake identity: the value a RoundReport carries when no
-// stepped-over sleeper exists. Merging reports takes the minimum, so the
-// identity is the maximum representable round.
-const NoWake = int32(math.MaxInt32)
-
-// RoundReport is one peer's contribution to a round's global control
-// decision, and — after merging — the decision's inputs. The engine applies
-// the stop/abort/fast-forward logic locally from the merged values, so the
-// barrier implementation stays a pure fold (MergeReports) with no protocol
-// knowledge.
-type RoundReport struct {
-	// Round is the round being reported (0 for the Init round).
-	Round int
-	// Stepped is the number of Step invocations this round.
-	Stepped int64
-	// Delivered is the number of messages delivered this round.
-	Delivered int64
-	// Halts is the number of nodes that halted this round.
-	Halts int
-	// MinWake is the earliest wake-up round among skipped sleepers, or
-	// NoWake when there are none.
-	MinWake int32
-	// Err is the peer's local run error ("" when healthy); the merged report
-	// carries the first non-empty one in peer order and aborts every peer.
-	Err string
-}
-
-// MergeReports folds per-peer reports of one round into the global report
-// every peer acts on. It is the entire round-barrier decision logic; the
-// coordinator applies it verbatim.
-func MergeReports(reps []RoundReport) RoundReport {
-	m := RoundReport{MinWake: NoWake}
-	for i := range reps {
-		r := &reps[i]
-		m.Round = r.Round
-		m.Stepped += r.Stepped
-		m.Delivered += r.Delivered
-		m.Halts += r.Halts
-		if r.MinWake < m.MinWake {
-			m.MinWake = r.MinWake
-		}
-		if m.Err == "" {
-			m.Err = r.Err
-		}
-	}
-	return m
-}
-
 // Exchanger moves one round's frames between peers. Exchange is called
-// exactly once per round by every peer — even when every outbox is empty —
-// after its step phase and before its deliver phase.
+// exactly once per round by every peer — even when every outbox is empty,
+// and in the round the peer fails — after its step phase and before its
+// deliver phase.
 type Exchanger interface {
-	// Exchange sends out[q] to every peer q (out[self] is ignored) and
-	// returns the frames the other peers sent this round (in[self] is nil).
-	// It blocks until every inbound frame for the round has arrived. The
-	// returned slices remain valid until the next Exchange call; the engine
-	// finishes delivering before it exchanges again.
-	Exchange(round int, out [][]frame.Record) (in [][]frame.Record, err error)
-}
-
-// MergeReportBatch folds aligned per-peer report batches index by index
-// with MergeReports: batches[p][i] is peer p's report for the i-th round of
-// the speculation window. Batches are aligned by construction — every peer
-// truncates its window at the same deterministic boundaries — so a length
-// mismatch is a protocol violation, reported as a single-report batch
-// carrying the error (which aborts every peer).
-func MergeReportBatch(batches [][]RoundReport) []RoundReport {
-	if len(batches) == 0 {
-		return nil
-	}
-	width := len(batches[0])
-	for _, b := range batches[1:] {
-		if len(b) != width {
-			return []RoundReport{{Round: batches[0][0].Round, MinWake: NoWake,
-				Err: "congest: misaligned cluster report batches (protocol bug)"}}
-		}
-	}
-	merged := make([]RoundReport, width)
-	row := make([]RoundReport, len(batches))
-	for i := 0; i < width; i++ {
-		for p := range batches {
-			row[p] = batches[p][i]
-		}
-		merged[i] = MergeReports(row)
-	}
-	return merged
-}
-
-// Barrier synchronizes the global control decisions of one speculation
-// window: up to RoundsPerSync consecutive rounds. Sync is called once per
-// window by every peer, after the window's last delivery; every peer
-// submits the same number of reports for the same rounds (window
-// boundaries are deterministic).
-type Barrier interface {
-	// Sync submits this peer's reports and blocks until every peer's batch
-	// for the window has been merged index by index (MergeReportBatch),
-	// returning the merged batch (same length as the submission). A
-	// transport error aborts the run.
-	Sync(batch []RoundReport) ([]RoundReport, error)
+	// Exchange sends out[q], headed by this peer's round report rep, to
+	// every peer q (out[self] is ignored) and returns the records and
+	// reports the other peers sent this round (in[self] and reps[self] are
+	// zero). It blocks until every inbound frame for the round has arrived.
+	// The returned slices remain valid until the next Exchange call; the
+	// engine finishes delivering before it exchanges again.
+	Exchange(round int, rep frame.Report, out [][]frame.Record) (in [][]frame.Record, reps []frame.Report, err error)
 }
 
 // ClusterConfig makes a Network one peer of a multi-process run. Cluster
@@ -142,18 +56,8 @@ type ClusterConfig struct {
 	// Peers is the number of cooperating processes (≥ 2, ≤ the vertex
 	// count so every peer owns at least one vertex).
 	Peers int
-	// Exchange moves the per-round frames (required).
+	// Exchange moves the per-round frames and their reports (required).
 	Exchange Exchanger
-	// Barrier merges the per-round control reports (required).
-	Barrier Barrier
-	// RoundsPerSync batches the barrier: peers speculate up to this many
-	// rounds between Sync calls (the one-frame-per-peer-per-round data
-	// exchange is unaffected — CONGEST semantics require it). 0 and 1 both
-	// mean a barrier every round. Results are byte-identical for any value:
-	// the engine reconciles stop, abort and fast-forward decisions from the
-	// merged batch exactly as the every-round loop would. Forced to 1 under
-	// a topology provider, which must observe every settled round.
-	RoundsPerSync int
 }
 
 // validate rejects configurations that cannot hold the determinism
@@ -166,10 +70,8 @@ func (cl *ClusterConfig) validate(n int, cfg *Config) error {
 		return fmt.Errorf("congest: cluster peer %d out of range [0,%d)", cl.Peer, cl.Peers)
 	case cl.Peers > n:
 		return fmt.Errorf("congest: %d cluster peers over %d nodes: every peer must own a vertex", cl.Peers, n)
-	case cl.Exchange == nil || cl.Barrier == nil:
-		return errors.New("congest: cluster mode needs an Exchanger and a Barrier")
-	case cl.RoundsPerSync < 0:
-		return fmt.Errorf("congest: negative RoundsPerSync %d", cl.RoundsPerSync)
+	case cl.Exchange == nil:
+		return errors.New("congest: cluster mode needs an Exchanger")
 	case cfg.Model != CONGEST:
 		return errors.New("congest: cluster mode is CONGEST-only (payload slabs do not cross the wire)")
 	case cfg.OnRound != nil:
@@ -181,11 +83,12 @@ func (cl *ClusterConfig) validate(n int, cfg *Config) error {
 }
 
 // wireTransport is the cluster deliver phase: merge the shards' remote
-// outboxes into one record batch per peer, exchange frames, then run the
-// halo-aware local drain (shard.runDeliverWire) over the inbound frames.
+// outboxes into one record batch per peer, exchange frames headed by the
+// round reports, fold the reports, then run the halo-aware local drain
+// (shard.runDeliverWire) over the inbound frames.
 type wireTransport struct{}
 
-func (wireTransport) deliver(n *Network) error {
+func (wireTransport) deliver(n *Network, rep roundReport) (roundReport, error) {
 	cl := n.cfg.Cluster
 	for p := range n.wireOut {
 		n.wireOut[p] = n.wireOut[p][:0]
@@ -200,21 +103,36 @@ func (wireTransport) deliver(n *Network) error {
 			sh.wireOut[p] = sh.wireOut[p][:0]
 		}
 	}
-	in, err := cl.Exchange.Exchange(n.round, n.wireOut)
+	hdr := frame.Report{Stepped: rep.stepped, Sent: rep.sent, Halts: int32(rep.halts), MinWake: rep.minWake}
+	if rep.err != nil {
+		hdr.Err = rep.err.Error()
+	}
+	in, reps, err := cl.Exchange.Exchange(n.round, hdr, n.wireOut)
 	if err != nil {
-		return fmt.Errorf("congest: cluster exchange (round %d): %w", n.round, err)
+		return roundReport{}, fmt.Errorf("congest: cluster exchange (round %d): %w", n.round, err)
 	}
 	n.wireIn = in
-	for p := range n.wireOut {
+	// Fold in ascending peer order, so abort carries the first failing
+	// peer's text on every peer that did not fail itself.
+	g := rep
+	for p := range reps {
 		if p == cl.Peer {
 			continue
 		}
+		r := &reps[p]
+		g.stepped += r.Stepped
+		g.sent += r.Sent
+		g.halts += int(r.Halts)
+		g.minWake = min(g.minWake, r.MinWake)
+		if g.abort == "" {
+			g.abort = r.Err
+		}
 		n.stats.FramesSent++
-		n.stats.WireBytes += int64(frame.OverheadBytes + frame.RecordBytes*len(n.wireOut[p]))
+		n.stats.WireBytes += int64(frame.OverheadBytes + min(len(hdr.Err), frame.MaxErrBytes) + frame.RecordBytes*len(n.wireOut[p]))
 	}
 	n.stats.FramesRecv += int64(cl.Peers - 1)
 	n.runPhase(phaseDeliver)
-	return nil
+	return g, nil
 }
 
 // runDeliverWire is the cluster variant of the deliver drain: inbound peer
@@ -256,183 +174,6 @@ func (sh *shard) runDeliverWire() {
 			dst.inbox = append(dst.inbox, m)
 		}
 	}
-}
-
-// runCluster is the cluster round loop, entered after the Init round's
-// delivery. Every global decision — stop, round-limit abort, error abort,
-// fast-forward — is computed from the barrier-merged reports with the same
-// logic as the single-process loop, so all peers advance their round
-// counters in lockstep and a cluster run's Stats.Rounds/SkippedRounds match
-// the single-process run exactly.
-//
-// With RoundsPerSync = R > 1 the loop speculates: it runs up to R rounds —
-// exchanging one data frame per peer per round as always — before syncing
-// the whole window's reports in one barrier, then reconciles the merged
-// decisions as if they had been applied every round. Speculation is safe
-// because the frames themselves carry all inter-peer data dependencies;
-// the barrier only carries control decisions, and every round a control
-// decision would have cut short is provably inert when executed anyway:
-//
-//   - past a stop (all nodes halted) or inside a fast-forward gap (every
-//     live node asleep, nothing in flight), no node steps, sends, or
-//     delivers — the only residue is the local SleepSkips count of
-//     speculatively executed gap rounds, which reconciliation rescinds,
-//     and the overshot round counter, which it rewinds;
-//   - past an error, this peer freezes (stops stepping) but keeps
-//     exchanging empty frames so no peer blocks; the run is discarded at
-//     the abort, so divergence after the error round is unobservable.
-//
-// Window boundaries (R rounds, or MaxRounds) are deterministic on every
-// peer, so the per-peer batches always align.
-func (n *Network) runCluster(localHalts int, delivered0 int64) (*Stats, error) {
-	nn := n.g.N()
-	spanR := n.cfg.Cluster.RoundsPerSync
-	if spanR < 1 || n.cfg.Topology != nil {
-		// Dynamic networks sync every round: speculated rounds past a stop
-		// or abort would apply topology churn the settled run never saw,
-		// skewing the lockstep TopologyChanges counter.
-		spanR = 1
-	}
-	merged, err := n.barrierSync([]RoundReport{{Round: 0, Delivered: delivered0, Halts: localHalts, MinWake: NoWake}})
-	if err != nil {
-		return n.finalize(), err
-	}
-	if len(merged) != 1 {
-		return n.finalize(), fmt.Errorf("congest: cluster barrier returned %d reports for round 0", len(merged))
-	}
-	if merged[0].Err != "" {
-		return n.finalize(), fmt.Errorf("congest: cluster aborted in round 0: %s", merged[0].Err)
-	}
-	halted := merged[0].Halts
-
-	// batch collects the window's locally executed rounds between barriers;
-	// skips mirrors it with each round's local SleepSkips delta so
-	// reconciliation can rescind the skips of rounds the R=1 schedule never
-	// executes. ffUntil is the last round a merged fast-forward decision
-	// proved empty; it persists across windows because a sleep gap can
-	// outlast one.
-	batch := make([]RoundReport, 0, spanR)
-	skips := make([]int64, 0, spanR)
-	ffUntil := 0
-	for halted < nn {
-		batch, skips = batch[:0], skips[:0]
-		var localErr error
-		localErrIdx := -1
-		for len(batch) < spanR {
-			if n.round+1 > n.cfg.MaxRounds {
-				if len(batch) == 0 {
-					// Deterministic on every peer (same MaxRounds, same
-					// round), so no barrier is needed to abort together.
-					return n.finalize(), fmt.Errorf("%w after %d rounds (%d/%d nodes halted)", ErrRoundLimit, n.cfg.MaxRounds, halted, nn)
-				}
-				break // every peer truncates its window here identically
-			}
-			n.round++
-			if n.cfg.Topology != nil {
-				n.cfg.Topology.ApplyRound(n.round, &n.topo)
-			}
-			for i := range n.shards {
-				n.shards[i].arena.flip()
-			}
-			rep := RoundReport{Round: n.round, MinWake: NoWake}
-			var skipped int64
-			if localErr == nil {
-				n.runPhase(phaseStep)
-				pre := n.stats.SleepSkips
-				var stepErr error
-				rep.Stepped, rep.MinWake, rep.Halts, stepErr = n.mergeStep()
-				skipped = n.stats.SleepSkips - pre
-				if stepErr != nil {
-					// Freeze: to the window's end this peer stops stepping
-					// (state past the error is meaningless) but keeps
-					// exchanging so the still-speculating peers never block.
-					localErr, localErrIdx = stepErr, len(batch)
-				}
-			}
-			if localErr != nil {
-				rep.Err = localErr.Error()
-			}
-			// Exchange and deliver even on error: the other peers are
-			// blocked on this round's frames.
-			if err := n.transport.deliver(n); err != nil {
-				return n.finalize(), err
-			}
-			rep.Delivered = n.mergeDeliver()
-			batch = append(batch, rep)
-			skips = append(skips, skipped)
-		}
-		merged, err := n.barrierSync(batch)
-		if err != nil {
-			return n.finalize(), err
-		}
-		if len(merged) != len(batch) {
-			if len(merged) > 0 && merged[0].Err != "" {
-				n.round = batch[0].Round
-				return n.finalize(), fmt.Errorf("congest: cluster aborted in round %d: %s", batch[0].Round, merged[0].Err)
-			}
-			return n.finalize(), fmt.Errorf("congest: cluster barrier returned %d reports for %d rounds", len(merged), len(batch))
-		}
-		// Reconcile: replay the merged decisions in round order, exactly as
-		// the every-round loop would have applied them.
-		for i := range merged {
-			rep := &merged[i]
-			if rep.Err != "" {
-				n.round = batch[i].Round
-				if localErr != nil && localErrIdx == i {
-					return n.finalize(), localErr
-				}
-				return n.finalize(), fmt.Errorf("congest: cluster aborted in round %d: %s", batch[i].Round, rep.Err)
-			}
-			halted += rep.Halts
-			if halted >= nn {
-				// The run ended inside the window; the rounds speculated
-				// past it were empty (every live list was empty), so
-				// rewinding the round counter is the whole cleanup.
-				n.round = batch[i].Round
-				break
-			}
-			if n.cfg.Topology != nil {
-				continue
-			}
-			if batch[i].Round <= ffUntil {
-				// An already-skipped round this peer executed speculatively:
-				// rescind its sleep-skip accounting — the every-round
-				// schedule jumps the gap and never charges the sleepers.
-				n.stats.SleepSkips -= skips[i]
-				continue
-			}
-			if rep.Stepped == 0 && rep.Delivered == 0 && rep.MinWake != noWake {
-				// Fast-forward: nothing ran and nothing is in flight, so
-				// every live node sleeps until MinWake. Count the skipped
-				// gap now; rounds of it already (or later) executed
-				// speculatively take the rescission branch above.
-				target := int(rep.MinWake)
-				if target > n.cfg.MaxRounds {
-					target = n.cfg.MaxRounds + 1
-				}
-				if target-1 > batch[i].Round {
-					n.stats.SkippedRounds += int64(target - 1 - batch[i].Round)
-					ffUntil = target - 1
-				}
-			}
-		}
-		if halted < nn && ffUntil > n.round {
-			// Jump the tail of a fast-forward gap extending past the window
-			// (already counted in SkippedRounds at decision time).
-			n.round = ffUntil
-		}
-	}
-	st := n.finalize()
-	st.HaltedAll = true
-	return st, nil
-}
-
-func (n *Network) barrierSync(batch []RoundReport) ([]RoundReport, error) {
-	merged, err := n.cfg.Cluster.Barrier.Sync(batch)
-	if err != nil {
-		return nil, fmt.Errorf("congest: cluster barrier (round %d): %w", batch[0].Round, err)
-	}
-	return merged, nil
 }
 
 // MergeStats folds the per-peer Stats of one cluster run into the Stats the

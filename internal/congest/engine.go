@@ -2,6 +2,7 @@ package congest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -21,7 +22,10 @@ const (
 	// result — is identical either way).
 	parallelMin = 64
 
-	noWake = NoWake
+	// noWake is the minWake identity: the value a round report carries when
+	// no stepped-over sleeper exists. Folding reports takes the minimum, so
+	// the identity is the maximum representable round.
+	noWake = int32(math.MaxInt32)
 )
 
 // shard owns a contiguous range of nodes: it steps them, receives their
@@ -154,15 +158,29 @@ func (n *Network) runPhase(ph int8) {
 	n.pool.wg.Wait()
 }
 
+// roundReport is one round's input to the global stop, abort and
+// fast-forward decision. The loopback transport decides from the local
+// report; a cluster peer decides from the fold of every peer's report,
+// carried in the round's frame headers (frame.Report).
+type roundReport struct {
+	stepped int64 // Step invocations
+	sent    int64 // non-bounced messages emitted; each is delivered exactly once
+	halts   int
+	minWake int32  // earliest wake-up round of a stepped-over sleeper, or noWake
+	err     error  // this process's first run error
+	abort   string // the first other peer's error text (cluster fold only)
+}
+
 // mergeStep folds the step-phase accumulators into the run statistics and
-// returns the number of nodes stepped, the earliest wake-up round among
-// skipped sleepers, the number of nodes that halted, and the first error in
-// node-id order.
-func (n *Network) mergeStep() (stepped int64, minWake int32, halts int, err error) {
-	minWake = noWake
+// returns the phase's report: nodes stepped, messages sent, nodes halted,
+// the earliest wake-up round among skipped sleepers, and the first error in
+// node-id order. It runs before the deliver phase, while the outboxes still
+// hold exactly this round's sends.
+func (n *Network) mergeStep() roundReport {
+	rep := roundReport{minWake: noWake}
 	for i := range n.shards {
 		sh := &n.shards[i]
-		stepped += sh.steps
+		rep.stepped += sh.steps
 		n.stats.ActiveSteps += sh.steps
 		sh.steps = 0
 		n.stats.SleepSkips += sh.skips
@@ -171,30 +189,35 @@ func (n *Network) mergeStep() (stepped int64, minWake int32, halts int, err erro
 		sh.stepGrows = 0
 		n.stats.PayloadWords += sh.payloadWords
 		sh.payloadWords = 0
+		// Bounces sit in the outboxes but traverse no edge.
+		rep.sent -= sh.drops
+		for _, o := range sh.out {
+			rep.sent += int64(len(o))
+		}
+		for _, o := range sh.wireOut {
+			rep.sent += int64(len(o))
+		}
 		n.stats.DroppedSends += sh.drops
 		sh.drops = 0
-		halts += sh.halts
+		rep.halts += sh.halts
 		sh.halts = 0
 		if sh.maxEdgeBits > n.stats.MaxEdgeBits {
 			n.stats.MaxEdgeBits = sh.maxEdgeBits
 		}
-		if sh.minWake < minWake {
-			minWake = sh.minWake
-		}
+		rep.minWake = min(rep.minWake, sh.minWake)
 		sh.minWake = noWake
-		if err == nil && sh.err != nil {
-			err = sh.err
+		if rep.err == nil && sh.err != nil {
+			rep.err = sh.err
 		}
 	}
-	return stepped, minWake, halts, err
+	return rep
 }
 
-// mergeDeliver folds the deliver-phase accumulators into the run statistics
-// and returns the number of messages delivered.
-func (n *Network) mergeDeliver() (delivered int64) {
+// mergeDeliver folds the deliver-phase accumulators into the run
+// statistics.
+func (n *Network) mergeDeliver() {
 	for i := range n.shards {
 		sh := &n.shards[i]
-		delivered += sh.msgs
 		n.stats.Messages += sh.msgs
 		sh.msgs = 0
 		n.stats.Bits += sh.bits
@@ -204,7 +227,6 @@ func (n *Network) mergeDeliver() (delivered int64) {
 		n.stats.DeliverGrows += sh.deliverGrows
 		sh.deliverGrows = 0
 	}
-	return delivered
 }
 
 // finalize merges any outstanding per-shard accounting into the run
@@ -343,48 +365,69 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 	}
 
 	// Round 0: Init every owned node (sequential: Init is cheap and often
-	// empty).
+	// empty). The Init round then closes like every other round.
 	n.round = 0
 	var initErr error
 	for u := lo; u < hi; u++ {
 		n.procs[u].Init(&n.ctxs[u])
-		if err := n.ctxs[u].err; err != nil {
-			if cl == nil {
-				return n.finalize(), err
-			}
-			// A cluster peer cannot bail here: the others are already
-			// blocked on the round-0 exchange. Complete the round and
-			// report the error through the barrier.
-			initErr = err
+		if initErr = n.ctxs[u].err; initErr != nil {
 			break
 		}
 	}
-	halted := 0
+	rep := n.mergeStep()
+	rep.err = initErr
 	for w := range n.shards {
 		sh := &n.shards[w]
 		for u := sh.lo; u < sh.hi; u++ {
 			if n.ctxs[u].halted {
-				halted++
+				rep.halts++
 			} else {
 				sh.live = append(sh.live, u)
 			}
 		}
 	}
-	if err := n.transport.deliver(n); err != nil {
-		return n.finalize(), err
-	}
-	delivered0 := n.mergeDeliver()
-	if cl != nil {
-		if initErr != nil {
-			if _, err := n.barrierSync([]RoundReport{{Round: 0, MinWake: NoWake, Err: initErr.Error()}}); err != nil {
-				return n.finalize(), err
-			}
-			return n.finalize(), initErr
-		}
-		return n.runCluster(halted, delivered0)
-	}
 
-	for halted < nn {
+	halted := 0
+	for {
+		// Close the round: deliver its messages and settle its global
+		// report — the local report on loopback, the fold of every peer's
+		// frame header in cluster mode. Every decision below reads only the
+		// settled report, so all cluster peers take it in the same round.
+		// An erring peer still exchanges first: the others wait on its
+		// frame, which carries the error to them.
+		g, err := n.transport.deliver(n, rep)
+		if err != nil {
+			return n.finalize(), err
+		}
+		n.mergeDeliver()
+		if g.err != nil {
+			return n.finalize(), g.err
+		}
+		if g.abort != "" {
+			return n.finalize(), fmt.Errorf("congest: cluster aborted in round %d: %s", n.round, g.abort)
+		}
+		halted += g.halts
+		if n.round > 0 && n.cfg.OnRound != nil {
+			if n.cfg.OnRound(n.round) {
+				return n.finalize(), nil
+			}
+		} else if halted < nn && g.stepped == 0 && g.sent == 0 && g.minWake != noWake && n.cfg.Topology == nil {
+			// Fast-forward: when nothing ran and nothing is in flight, every
+			// live node is asleep — jump straight to the earliest wake-up
+			// instead of executing empty rounds. Dynamic networks never
+			// fast-forward: the provider must observe every round.
+			target := int(g.minWake)
+			if target > n.cfg.MaxRounds {
+				target = n.cfg.MaxRounds + 1
+			}
+			if target-1 > n.round {
+				n.stats.SkippedRounds += int64(target - 1 - n.round)
+				n.round = target - 1
+			}
+		}
+		if halted >= nn {
+			break
+		}
 		n.round++
 		if n.round > n.cfg.MaxRounds {
 			n.round--
@@ -399,33 +442,7 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 			n.shards[i].arena.flip()
 		}
 		n.runPhase(phaseStep)
-		stepped, minWake, halts, err := n.mergeStep()
-		if err != nil {
-			return n.finalize(), err
-		}
-		halted += halts
-		n.transport.deliver(n) // loopback: never errors
-		delivered := n.mergeDeliver()
-		if n.cfg.OnRound != nil {
-			if n.cfg.OnRound(n.round) {
-				return n.finalize(), nil
-			}
-			continue
-		}
-		// Fast-forward: when nothing ran and nothing is in flight, every
-		// live node is asleep — jump straight to the earliest wake-up
-		// instead of executing empty rounds. Dynamic networks never
-		// fast-forward: the provider must observe every round.
-		if halted < nn && stepped == 0 && delivered == 0 && minWake != noWake && n.cfg.Topology == nil {
-			target := int(minWake)
-			if target > n.cfg.MaxRounds {
-				target = n.cfg.MaxRounds + 1
-			}
-			if target-1 > n.round {
-				n.stats.SkippedRounds += int64(target - 1 - n.round)
-				n.round = target - 1
-			}
-		}
+		rep = n.mergeStep()
 	}
 	st := n.finalize()
 	st.HaltedAll = true

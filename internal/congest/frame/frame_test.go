@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -54,6 +56,41 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReportRoundTrip: the round report in the header survives encoding
+// at its extremes — the largest counts, both MinWake signs, an error text
+// at the cap — and an overlong error text is cut to MaxErrBytes.
+func TestReportRoundTrip(t *testing.T) {
+	recs := randRecords(rand.New(rand.NewSource(5)), 3)
+	long := strings.Repeat("x", MaxErrBytes+100)
+	for _, h := range []Header{
+		{Round: 0, Peer: 0},
+		{Round: 7, Peer: 2, Report: Report{Stepped: 3, Sent: 9, Halts: 1, MinWake: math.MaxInt32}},
+		{Round: math.MaxInt32, Peer: math.MaxInt32, Report: Report{Stepped: math.MaxInt64, Sent: math.MaxInt64,
+			Halts: math.MaxInt32, MinWake: math.MinInt32, Err: "congest: bandwidth violation"}},
+		{Round: 1, Peer: 1, Report: Report{Err: long[:MaxErrBytes]}},
+	} {
+		b := AppendFrame(nil, &h, recs)
+		if want := OverheadBytes + len(h.Err) + len(recs)*RecordBytes; len(b) != want {
+			t.Fatalf("%+v: encoded %d bytes, want %d", h.Report, len(b), want)
+		}
+		var got Header
+		out, rest, err := DecodeFrame(b, &got, nil)
+		if err != nil {
+			t.Fatalf("%+v: decode: %v", h.Report, err)
+		}
+		if got != h || len(rest) != 0 || !reflect.DeepEqual(out, recs) {
+			t.Fatalf("round trip changed the frame:\n  got  %+v\n  want %+v", got, h)
+		}
+	}
+	var got Header
+	if _, _, err := DecodeFrame(AppendFrame(nil, &Header{Report: Report{Err: long}}, nil), &got, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got.Err != long[:MaxErrBytes] {
+		t.Fatalf("overlong error text kept %d bytes, want %d", len(got.Err), MaxErrBytes)
+	}
+}
+
 func TestDecodeConcatenated(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := randRecords(rng, 4)
@@ -79,7 +116,7 @@ func TestReaderWriterRoundTrip(t *testing.T) {
 	frames := [][]Record{randRecords(rng, 5), nil, randRecords(rng, 17)}
 	wrote := 0
 	for r, recs := range frames {
-		n, err := w.WriteFrame(r, 2, recs)
+		n, err := w.WriteFrame(&Header{Round: r, Peer: 2, Report: Report{Stepped: int64(r), Err: strings.Repeat("e", r)}}, recs)
 		if err != nil {
 			t.Fatalf("write frame %d: %v", r, err)
 		}
@@ -90,12 +127,13 @@ func TestReaderWriterRoundTrip(t *testing.T) {
 	}
 	rd := NewReader(&buf)
 	for r, want := range frames {
-		round, peer, got, _, err := rd.ReadFrame()
+		var h Header
+		got, _, err := rd.ReadFrame(&h)
 		if err != nil {
 			t.Fatalf("read frame %d: %v", r, err)
 		}
-		if round != r || peer != 2 {
-			t.Fatalf("frame %d: got round %d peer %d", r, round, peer)
+		if h.Round != r || h.Peer != 2 || h.Stepped != int64(r) || len(h.Err) != r {
+			t.Fatalf("frame %d: got header %+v", r, h)
 		}
 		if len(want) == 0 {
 			if len(got) != 0 {
@@ -107,7 +145,7 @@ func TestReaderWriterRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: records differ", r)
 		}
 	}
-	if _, _, _, _, err := rd.ReadFrame(); !errors.Is(err, io.EOF) {
+	if _, _, err := rd.ReadFrame(new(Header)); !errors.Is(err, io.EOF) {
 		t.Fatalf("expected EOF after last frame, got %v", err)
 	}
 }
@@ -123,7 +161,7 @@ func TestReadFrameAppendRotatesBuffers(t *testing.T) {
 	frames := [][]Record{randRecords(rng, 6), randRecords(rng, 1), nil}
 	wrote := 0
 	for r, recs := range frames {
-		n, err := w.WriteFrame(r, 4, recs)
+		n, err := w.WriteFrame(&Header{Round: r, Peer: 4}, recs)
 		if err != nil {
 			t.Fatalf("write frame %d: %v", r, err)
 		}
@@ -135,13 +173,14 @@ func TestReadFrameAppendRotatesBuffers(t *testing.T) {
 	for r, want := range frames {
 		scratch := make([]Record, 0, 8)
 		base := &scratch[:1][0]
-		round, peer, out, n, err := rd.ReadFrameAppend(scratch)
+		var h Header
+		out, n, err := rd.ReadFrameAppend(&h, scratch)
 		if err != nil {
 			t.Fatalf("frame %d: %v", r, err)
 		}
 		read += n
-		if round != r || peer != 4 {
-			t.Fatalf("frame %d: got round %d peer %d", r, round, peer)
+		if h.Round != r || h.Peer != 4 {
+			t.Fatalf("frame %d: got round %d peer %d", r, h.Round, h.Peer)
 		}
 		if len(want) > 0 && &out[0] != base {
 			t.Fatalf("frame %d: decode did not reuse the caller's buffer", r)
@@ -163,7 +202,7 @@ func TestReadFrameAppendRotatesBuffers(t *testing.T) {
 			t.Fatalf("frame %d clobbered by a later read", r)
 		}
 	}
-	if _, _, _, _, err := rd.ReadFrameAppend(nil); !errors.Is(err, io.EOF) {
+	if _, _, err := rd.ReadFrameAppend(new(Header), nil); !errors.Is(err, io.EOF) {
 		t.Fatalf("expected EOF after last frame, got %v", err)
 	}
 }
@@ -201,6 +240,28 @@ func TestDecodeMalformed(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[8:], 0xFFFFFFFF)
 			return b
 		}(),
+		"negative halts": func() []byte {
+			b := append([]byte(nil), good...)
+			binary.LittleEndian.PutUint32(b[36:], 0xFFFFFFFF)
+			return b
+		}(),
+		"error length mismatch": func() []byte {
+			b := append([]byte(nil), good...)
+			binary.LittleEndian.PutUint32(b[44:], 1)
+			return b
+		}(),
+		"overlong error": func() []byte {
+			b := AppendFrame(nil, &Header{Report: Report{Err: strings.Repeat("e", MaxErrBytes)}}, nil)
+			b = append(b, 'e')
+			binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+			binary.LittleEndian.PutUint32(b[44:], MaxErrBytes+1)
+			return b
+		}(),
+		"old magic": func() []byte {
+			b := append([]byte(nil), good...)
+			b[7] = '1'
+			return b
+		}(),
 	}
 	for name, b := range cases {
 		if _, _, _, _, err := Decode(b, nil); !errors.Is(err, ErrFrame) {
@@ -213,7 +274,7 @@ func TestReaderRejectsOversizedPrefixBeforeAllocating(t *testing.T) {
 	var head [4]byte
 	binary.LittleEndian.PutUint32(head[:], MaxFrameBytes+7)
 	rd := NewReader(bytes.NewReader(head[:]))
-	if _, _, _, _, err := rd.ReadFrame(); !errors.Is(err, ErrFrame) {
+	if _, _, err := rd.ReadFrame(new(Header)); !errors.Is(err, ErrFrame) {
 		t.Fatalf("want ErrFrame on oversized prefix, got %v", err)
 	}
 }

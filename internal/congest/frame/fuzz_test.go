@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -22,23 +24,28 @@ func FuzzFrameDecode(f *testing.F) {
 	long := Append(nil, 7, 2, randRecords(rng, 40))
 	f.Add(long[:len(long)-5]) // truncated record slab
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F})
+	f.Add(AppendFrame(nil, &Header{Round: 3, Peer: 1, Report: Report{Stepped: 5, Sent: 2, Halts: 1, MinWake: 9,
+		Err: "congest: bandwidth violation on edge 0→1 in round 3"}}, randRecords(rng, 3)))
+	f.Add(AppendFrame(nil, &Header{Round: math.MaxInt32, Peer: math.MaxInt32, Report: Report{Stepped: math.MaxInt64,
+		Sent: math.MaxInt64, Halts: math.MaxInt32, MinWake: math.MinInt32, Err: strings.Repeat("\xff", MaxErrBytes)}}, nil))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		round, peer, recs, rest, err := Decode(b, nil)
+		var h Header
+		recs, rest, err := DecodeFrame(b, &h, nil)
 		if err != nil {
 			if !errors.Is(err, ErrFrame) {
 				t.Fatalf("Decode error not tagged ErrFrame: %v", err)
 			}
 		} else {
 			consumed := b[:len(b)-len(rest)]
-			re := Append(nil, round, peer, recs)
+			re := AppendFrame(nil, &h, recs)
 			if !bytes.Equal(re, consumed) {
 				t.Fatalf("accepted frame does not re-encode to its input: %d vs %d bytes", len(re), len(consumed))
 			}
 		}
 
 		rd := NewReader(bytes.NewReader(b))
-		if _, _, _, _, rerr := rd.ReadFrame(); rerr != nil {
+		if _, _, rerr := rd.ReadFrame(&h); rerr != nil {
 			ok := errors.Is(rerr, ErrFrame) || errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrUnexpectedEOF)
 			if !ok {
 				t.Fatalf("ReadFrame error not frame/io-tagged: %v", rerr)

@@ -20,11 +20,13 @@ package congest
 // indirection inside the per-message loops.
 type transport interface {
 	// deliver moves every message queued in the current round into its
-	// destination inbox. All shard workers are quiescent when it is called;
-	// it may use the worker pool for the local drain. A non-nil error aborts
-	// the run (transport failures are fatal: a peer cannot continue a
-	// lockstep computation alone).
-	deliver(n *Network) error
+	// destination inbox and returns the round's global report: rep itself
+	// on loopback, the fold of every peer's report in cluster mode. All
+	// shard workers are quiescent when it is called; it may use the worker
+	// pool for the local drain. A non-nil error aborts the run (transport
+	// failures are fatal: a peer cannot continue a lockstep computation
+	// alone).
+	deliver(n *Network, rep roundReport) (roundReport, error)
 }
 
 // loopbackTransport is the single-process deliver phase: the parallel drain
@@ -32,9 +34,9 @@ type transport interface {
 // Stats.WireBytes/FramesSent/FramesRecv stay zero.
 type loopbackTransport struct{}
 
-func (loopbackTransport) deliver(n *Network) error {
+func (loopbackTransport) deliver(n *Network, rep roundReport) (roundReport, error) {
 	n.runPhase(phaseDeliver)
-	return nil
+	return rep, nil
 }
 
 // pend is one queued message in a sharded mailbox.

@@ -17,7 +17,7 @@ import (
 type GraphLocalResult struct {
 	// Tau is max over the examined sources.
 	Tau int
-	// ArgMax is a source attaining it.
+	// ArgMax is the first source, in the order examined, attaining it.
 	ArgMax int
 	// PerSource lists (source, τ_source) for every examined source,
 	// ascending by source id.
@@ -85,7 +85,7 @@ func graphLocalPlan(g *graph.Graph, o LocalOptions, sources []int) ([]int, int, 
 // way).
 func graphLocalMixingOn(ctx context.Context, g *graph.Graph, kern *walkkernel.Kernel, beta, eps float64, o LocalOptions, sources []int, workers int) (*GraphLocalResult, error) {
 	type outcome struct {
-		src int
+		idx int // position in sources
 		tau int
 		err error
 	}
@@ -96,35 +96,40 @@ func graphLocalMixingOn(ctx context.Context, g *graph.Graph, kern *walkkernel.Ke
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for s := range in {
+			for i := range in {
 				// Cancellation propagates into each per-source step loop;
 				// the first cancelled source surfaces the context error.
-				res, err := localMixingOn(ctx, g, kern, s, beta, eps, o)
+				res, err := localMixingOn(ctx, g, kern, sources[i], beta, eps, o)
 				if err != nil {
-					out <- outcome{src: s, err: err}
+					out <- outcome{idx: i, err: err}
 					continue
 				}
-				out <- outcome{src: s, tau: res.T}
+				out <- outcome{idx: i, tau: res.T}
 			}
 		}()
 	}
 	go func() {
-		for _, s := range sources {
-			in <- s
+		for i := range sources {
+			in <- i
 		}
 		close(in)
 		wg.Wait()
 		close(out)
 	}()
-	res := &GraphLocalResult{Tau: -1}
+	taus := make([]int, len(sources))
 	for oc := range out {
 		if oc.err != nil {
-			return nil, fmt.Errorf("exact: GraphLocalMixing source %d: %w", oc.src, oc.err)
+			return nil, fmt.Errorf("exact: GraphLocalMixing source %d: %w", sources[oc.idx], oc.err)
 		}
-		res.PerSource = append(res.PerSource, SourceTau{Source: oc.src, Tau: oc.tau})
-		if oc.tau > res.Tau {
-			res.Tau = oc.tau
-			res.ArgMax = oc.src
+		taus[oc.idx] = oc.tau
+	}
+	// The maximum is taken in source order, not arrival order, so ArgMax
+	// is the first maximizing source for every worker count.
+	res := &GraphLocalResult{Tau: -1, PerSource: make([]SourceTau, len(sources))}
+	for i, tau := range taus {
+		res.PerSource[i] = SourceTau{Source: sources[i], Tau: tau}
+		if tau > res.Tau {
+			res.Tau, res.ArgMax = tau, sources[i]
 		}
 	}
 	sort.Slice(res.PerSource, func(i, j int) bool { return res.PerSource[i].Source < res.PerSource[j].Source })

@@ -110,13 +110,6 @@ type ClusterSpec struct {
 	// Peers is how many registered peers the run spans (0 = every peer
 	// currently registered with the coordinator).
 	Peers int `json:"peers,omitempty"`
-	// RoundsPerSync batches the coordinator's round barrier: peers
-	// speculate up to this many engine rounds per control-plane sync
-	// (data frames still flow every round). 0 and 1 both sync every
-	// round. Like every Cluster field it is schedule-only: results are
-	// byte-identical for any value, and the field never reaches cache
-	// keys or derived seeds.
-	RoundsPerSync int `json:"roundsPerSync,omitempty"`
 }
 
 // CoverageSpec describes the random maximum-coverage instance of a
@@ -286,9 +279,6 @@ func (t TaskSpec) Validate() error {
 		// Sweeps fan whole source chunks across peers, so even a single
 		// peer is a legitimate (if pointless) cluster; the engine kinds
 		// shard one run and need at least two.
-		if r := t.Cluster.RoundsPerSync; r < 0 {
-			return fmt.Errorf("spec: cluster roundsPerSync must be ≥ 0, got %d", r)
-		}
 		if p := t.Cluster.Peers; p < 0 || (p == 1 && t.Kind != KindSweep) {
 			return fmt.Errorf("spec: cluster peers must be 0 (all registered) or ≥ 2, got %d", p)
 		}
