@@ -182,25 +182,6 @@ func (p *floodBench) Step(ctx *congest.Context) {
 	ctx.Broadcast(congest.Message{Kind: 1, Value: int64(ctx.Round()), Bits: 16})
 }
 
-// BenchmarkPushPullEngine measures the engine-backed LOCAL gossip (payload
-// slabs) against the barbell workload of BenchmarkPushPull.
-func BenchmarkPushPullEngine(b *testing.B) {
-	g, err := gen.Barbell(8, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var rounds, msgs int64
-	for i := 0; i < b.N; i++ {
-		res, err := spread.RunOnEngine(g, spread.Config{Beta: 8, Seed: int64(i), StopAtPartial: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds += int64(res.Stats.Rounds)
-		msgs += res.Stats.Messages
-	}
-	reportThroughput(b, rounds, msgs)
-}
-
 // BenchmarkPushPull measures the gossip engine per full partial-spreading
 // run on the barbell.
 func BenchmarkPushPull(b *testing.B) {

@@ -281,8 +281,8 @@ func run(f *cliFlags) error {
 	}
 	engineStats := func(st *congest.Stats) {
 		if *f.stats && st != nil {
-			fmt.Printf("%-22s steps=%d sleepSkips=%d wakeups=%d ffRounds=%d stepGrows=%d dlvGrows=%d payloadWords=%d topoChanges=%d drops=%d\n",
-				"  engine", st.ActiveSteps, st.SleepSkips, st.Wakeups, st.SkippedRounds, st.StepGrows, st.DeliverGrows, st.PayloadWords,
+			fmt.Printf("%-22s steps=%d sleepSkips=%d wakeups=%d ffRounds=%d stepGrows=%d dlvGrows=%d topoChanges=%d drops=%d\n",
+				"  engine", st.ActiveSteps, st.SleepSkips, st.Wakeups, st.SkippedRounds, st.StepGrows, st.DeliverGrows,
 				st.TopologyChanges, st.DroppedSends)
 		}
 	}

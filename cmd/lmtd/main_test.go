@@ -237,19 +237,27 @@ func (zeros) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestServerRejectsRetiredSyncField: the retired roundsPerSync cluster field
-// is an unknown field now, so a request still carrying it is a 400.
+// TestServerRejectsRetiredSyncField: request fields of retired mechanisms
+// are rejected with a 400, not silently ignored: the roundsPerSync cluster
+// field and coverage.engine are unknown fields now, and "engine" is no
+// longer a spread transport.
 func TestServerRejectsRetiredSyncField(t *testing.T) {
 	ts := httptest.NewServer(newHandler(service.New(service.Options{})))
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(
-		`{"graph":{"family":"path","n":8},"task":{"kind":"walk","steps":4,"cluster":{"roundsPerSync":8}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("roundsPerSync returned %d, want 400", resp.StatusCode)
+	for name, task := range map[string]string{
+		"roundsPerSync":    `{"kind":"walk","steps":4,"cluster":{"roundsPerSync":8}}`,
+		"engine transport": `{"kind":"spread","beta":2,"transport":"engine"}`,
+		"coverage engine":  `{"kind":"coverage","beta":2,"coverage":{"universe":20,"perNode":3,"k":2,"engine":true}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(
+			`{"graph":{"family":"path","n":8},"task":`+task+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: got %d, want 400", name, resp.StatusCode)
+		}
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 
 // E15EngineCounters surfaces the round engine's liveness and allocation
 // counters across representative workloads: one CONGEST algorithm run
-// (Algorithm 2), one pure flooding run (Algorithm 1), and the two
-// engine-backed gossip variants. The grow counters are the observable form
+// (Algorithm 2), one pure flooding run (Algorithm 1), and the CONGEST
+// push–pull variant (footnote 10). The grow counters are the observable form
 // of the engine's zero-allocation property: in the steady state they stay
 // flat no matter how many messages move, so a per-message allocation
 // regression shows up here (and in the congest package's regression test)
@@ -28,12 +28,12 @@ func E15EngineCounters(sc Scale) (*Table, error) {
 		ID:    "E15",
 		Title: "Engine telemetry: liveness and allocation counters per workload",
 		Note: "steps = Step invocations (O(active), not O(n·rounds)); skips/wakes/ff = sleep machinery; " +
-			"grows = buffer growth events (flat in steady state = zero-allocation round loop); payload_w = arena []int32 words",
-		Header: []string{"workload", "n", "rounds", "msgs", "steps", "skips", "wakes", "ff_rounds", "step_grows", "dlv_grows", "payload_w"},
+			"grows = buffer growth events (flat in steady state = zero-allocation round loop)",
+		Header: []string{"workload", "n", "rounds", "msgs", "steps", "skips", "wakes", "ff_rounds", "step_grows", "dlv_grows"},
 	}
 	add := func(name string, n int, st *congest.Stats) {
 		t.Add(name, n, st.Rounds, st.Messages, st.ActiveSteps, st.SleepSkips, st.Wakeups,
-			st.SkippedRounds, st.StepGrows, st.DeliverGrows, st.PayloadWords)
+			st.SkippedRounds, st.StepGrows, st.DeliverGrows)
 	}
 
 	g, err := gen.RingOfCliques(8, k)
@@ -61,11 +61,5 @@ func E15EngineCounters(sc Scale) (*Table, error) {
 		return nil, err
 	}
 	add("pushpull-congest/barbell", bb.N(), pc.Stats)
-
-	pe, err := spread.RunOnEngine(bb, spread.Config{Beta: 8, Seed: 11, StopAtPartial: true})
-	if err != nil {
-		return nil, err
-	}
-	add("pushpull-local-engine/barbell", bb.N(), pe.Stats)
 	return t, nil
 }

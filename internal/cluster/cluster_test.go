@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"reflect"
@@ -432,6 +433,62 @@ func TestClusterMeshLinkKilled(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("coordinator hung after a mesh link died")
+	}
+	checkServesWalk(t, ctx, c)
+}
+
+// errInjected is the failure failPreamble injects.
+var errInjected = errors.New("injected preamble failure")
+
+// failPreamble fails one peer's mesh preamble write, so that peer fails
+// mesh setup on its first dial (to peer 0) and never dials the peers in
+// between. The dropped connection reaches the wire a second after its
+// Close: peer 0, blocked reading the preamble that never came, fails only
+// well after the injected peer has reported, so the job's error has one
+// possible author.
+type failPreamble struct {
+	net.Conn
+	victim int
+	failed bool
+}
+
+func (f *failPreamble) Write(p []byte) (int, error) {
+	if len(p) == 4 && int(binary.LittleEndian.Uint32(p)) == f.victim {
+		f.failed = true
+		return 0, errInjected
+	}
+	return f.Conn.Write(p)
+}
+
+func (f *failPreamble) Close() error {
+	if f.failed {
+		time.AfterFunc(time.Second, func() { f.Conn.Close() })
+		return nil
+	}
+	return f.Conn.Close()
+}
+
+// TestClusterMeshSetupFailureAborts: peer 2 fails mesh setup before it
+// dials peer 1, which would otherwise sit in Accept for meshSetupBudget.
+// The failure must abort the job at once, the error must name peer 2 (not a
+// peer the abort failed), and the same peers must then serve the next job
+// exactly.
+func TestClusterMeshSetupFailureAborts(t *testing.T) {
+	c := startCluster(t, 3)
+	ctx := testCtx(t)
+	setTestConnWrap(func(conn net.Conn) net.Conn { return &failPreamble{Conn: conn, victim: 2} })
+	start := time.Now()
+	_, err := c.Run(ctx, graphSpec, spec.TaskSpec{Kind: spec.KindWalk, Source: 0, Steps: 16, Seed: 5})
+	took := time.Since(start)
+	setTestConnWrap(nil)
+	if err == nil || !strings.Contains(err.Error(), errInjected.Error()) {
+		t.Fatalf("error %v, want the injected preamble failure", err)
+	}
+	if !strings.HasPrefix(err.Error(), "cluster: peer 2: ") {
+		t.Errorf("error %q does not name peer 2, the peer that failed", err)
+	}
+	if took > 5*time.Second {
+		t.Fatalf("the job returned %v after the setup failure: the other peers waited out their accept", took)
 	}
 	checkServesWalk(t, ctx, c)
 }

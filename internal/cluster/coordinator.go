@@ -182,6 +182,7 @@ type peerOutcome struct {
 	stats  *congest.Stats
 	auth   bool
 	errS   string // peer-reported run error
+	setup  bool   // errS came before the peer's engine started (it sent abort)
 	err    error  // control-transport error
 }
 
@@ -312,11 +313,15 @@ func (c *Coordinator) Run(ctx context.Context, gs spec.GraphSpec, ts spec.TaskSp
 	// started peer then gets exactly one terminal message: done once all
 	// results are in — a peer closes its mesh on it, and by then no peer
 	// still reads its frames — or abort on a failed start, ctx
-	// cancellation, or a lost control connection. An abort makes the peer
-	// close its mesh at once, so every peer still running fails its next
-	// Exchange and reports back. A peer-reported error needs no abort: an
-	// engine error reaches every peer in its round's frame headers, and a
-	// failed link fails the Exchange at both of its ends.
+	// cancellation, a lost control connection, or a peer that failed before
+	// its engine started (it answers abort instead of result). An abort
+	// makes the peer close its mesh at once, so every peer still running
+	// fails its next Exchange, and every peer still in mesh setup fails its
+	// dial or accept, and reports back. A peer-reported engine error needs
+	// no abort: it reaches every peer in its round's frame headers, and a
+	// failed link fails the Exchange at both of its ends. A mesh-setup
+	// failure has no frame to ride: the peers it never dialed would sit in
+	// Accept until meshSetupBudget runs out.
 	term := make([]sync.Once, started)
 	end := func(p int, typ string) {
 		term[p].Do(func() { peers[p].enc.Encode(ctrlMsg{Type: typ}) }) // best effort
@@ -332,13 +337,22 @@ func (c *Coordinator) Run(ctx context.Context, gs spec.GraphSpec, ts spec.TaskSp
 	stopCancel := context.AfterFunc(ctx, abortAll)
 	defer stopCancel()
 	outs := make([]peerOutcome, started)
+	// setupErr names the first peer whose setup failure aborted the job. It
+	// is set before that abort goes out, so the peers the abort then fails
+	// cannot take its place.
+	var setupErr error
+	var setupOnce sync.Once
 	var wg sync.WaitGroup
 	for p, pc := range peers[:started] {
 		wg.Add(1)
 		go func(p int, pc *peerConn) {
 			defer wg.Done()
 			out := &outs[p]
-			if c.awaitResult(pc, out); out.err != nil {
+			c.awaitResult(pc, out)
+			if out.setup {
+				setupOnce.Do(func() { setupErr = fmt.Errorf("cluster: peer %d: %s", p, out.errS) })
+			}
+			if out.err != nil || out.setup {
 				abortAll()
 			}
 		}(p, pc)
@@ -353,6 +367,9 @@ func (c *Coordinator) Run(ctx context.Context, gs spec.GraphSpec, ts spec.TaskSp
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if setupErr != nil {
+		return nil, setupErr
+	}
 	return assemble(ts, outs)
 }
 
@@ -362,7 +379,7 @@ func (c *Coordinator) awaitResult(pc *peerConn, out *peerOutcome) {
 	var m ctrlMsg
 	if err := pc.rd.next(&m); err != nil {
 		out.err = fmt.Errorf("control connection: %w", err)
-	} else if m.Type != msgResult {
+	} else if m.Type != msgResult && m.Type != msgAbort {
 		out.err = fmt.Errorf("unexpected control message %q mid-run", m.Type)
 	}
 	if out.err != nil {
@@ -373,6 +390,7 @@ func (c *Coordinator) awaitResult(pc *peerConn, out *peerOutcome) {
 	out.stats = m.Stats
 	out.auth = m.Authoritative
 	out.errS = m.Err
+	out.setup = m.Type == msgAbort
 	c.roundWait.Add(m.WaitNs)
 }
 

@@ -225,13 +225,15 @@ func runJob(conn net.Conn, enc *json.Encoder, rd *ctrlReader, ps *peerState, m *
 		term <- err
 	}()
 
+	// A failure before the engine starts answers abort, not result: no
+	// frame will carry it to the other peers, so the coordinator must.
 	res := ctrlMsg{Type: msgResult, Peer: self}
 	if jobErr != nil {
 		// A coordinator bug: it started a job we reported unready. Answer
 		// with the error rather than meshing.
-		res.Err = jobErr.Error()
+		res.Type, res.Err = msgAbort, jobErr.Error()
 	} else if links, err := setupMesh(job, self, sm.Addrs, ln); err != nil {
-		res.Err = err.Error()
+		res.Type, res.Err = msgAbort, err.Error()
 	} else {
 		ex := newMeshExchanger(self, links)
 		context.AfterFunc(job, ex.Close)

@@ -22,13 +22,17 @@ import (
 //	peer → coord   ready{mesh}                 mesh listener address, or err
 //	coord → peer   start{addrs} | abort        abort when any peer's ready failed
 //	peer → coord   result{result, stats, waitNs, authoritative} or result{err}
+//	               or abort{err}               abort when the engine never started
 //	coord → peer   done | abort                exactly one per started peer
 //
 // Nothing crosses the control plane while an engine job runs: round
 // control rides the data-plane frame headers. The coordinator's one
 // terminal message is done after the peer's result, or abort — on
 // cancellation or another peer's failure — which may arrive mid-run and
-// makes the peer close its mesh.
+// makes the peer close its mesh. A peer that fails before its engine
+// starts (mesh setup) answers abort instead of result: no frame can carry
+// that failure, so the coordinator aborts the other peers, which may be
+// waiting to accept its mesh connection.
 //
 // Sweep jobs replace the result phase with a chunk loop — no data-plane
 // mesh, just source fan-out on the control connection:

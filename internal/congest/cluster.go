@@ -45,10 +45,9 @@ type Exchanger interface {
 }
 
 // ClusterConfig makes a Network one peer of a multi-process run. Cluster
-// runs are restricted to what distributes without a global view: CONGEST
-// model only (payload slabs never cross the wire), no OnRound callback, and
-// no adaptive topology providers (published protocol state is per-peer);
-// oblivious providers work — every peer replays the same (seed, round)
+// runs are restricted to what distributes without a global view: no OnRound
+// callback, and no adaptive topology providers (published protocol state is
+// per-peer); oblivious providers work — every peer replays the same (seed, round)
 // deterministic churn on its own full overlay copy.
 type ClusterConfig struct {
 	// Peer is this process's index in [0, Peers).
@@ -72,8 +71,6 @@ func (cl *ClusterConfig) validate(n int, cfg *Config) error {
 		return fmt.Errorf("congest: %d cluster peers over %d nodes: every peer must own a vertex", cl.Peers, n)
 	case cl.Exchange == nil:
 		return errors.New("congest: cluster mode needs an Exchanger")
-	case cfg.Model != CONGEST:
-		return errors.New("congest: cluster mode is CONGEST-only (payload slabs do not cross the wire)")
 	case cfg.OnRound != nil:
 		return errors.New("congest: OnRound is unavailable in cluster mode (no peer sees the whole network)")
 	case IsAdaptive(cfg.Topology):
@@ -198,7 +195,6 @@ func MergeStats(sts []Stats) Stats {
 		m.ActiveSteps += s.ActiveSteps
 		m.SleepSkips += s.SleepSkips
 		m.Wakeups += s.Wakeups
-		m.PayloadWords += s.PayloadWords
 		m.DroppedSends += s.DroppedSends
 		m.StepGrows += s.StepGrows
 		m.DeliverGrows += s.DeliverGrows

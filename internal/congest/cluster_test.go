@@ -365,7 +365,6 @@ func TestClusterConfigValidation(t *testing.T) {
 		"peer range":     {Cluster: &ClusterConfig{Peer: 2, Peers: 2, Exchange: ex}},
 		"too many peers": {Cluster: &ClusterConfig{Peer: 0, Peers: 17, Exchange: ex}},
 		"missing fabric": {Cluster: &ClusterConfig{Peer: 0, Peers: 2}},
-		"local model":    {Model: LOCAL, Cluster: &ok},
 		"onround":        {OnRound: func(int) bool { return false }, Cluster: &ok},
 		"adaptive churn": {Topology: adaptiveStub{}, Cluster: &ok},
 	}

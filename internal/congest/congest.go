@@ -5,33 +5,9 @@ import (
 	"fmt"
 )
 
-// Model selects the communication model.
-type Model int
-
-const (
-	// CONGEST limits every directed edge to B bits per round.
-	CONGEST Model = iota
-	// LOCAL places no limit on message sizes (paper §4 push–pull analysis).
-	LOCAL
-)
-
-// String returns the model's conventional name.
-func (m Model) String() string {
-	switch m {
-	case CONGEST:
-		return "CONGEST"
-	case LOCAL:
-		return "LOCAL"
-	default:
-		return fmt.Sprintf("Model(%d)", int(m))
-	}
-}
-
 // Message is one message in flight. The fixed fields cover every payload the
 // CONGEST algorithms need (a kind tag, a sequence number and two integer
-// words); LOCAL-model runs may additionally attach an []int32 slab via
-// Context.SendPayload, carried out of band in the engine's payload arena.
-// Bits is the size charged against the bandwidth budget and must be
+// words). Bits is the size charged against the bandwidth budget and must be
 // positive. A Message holds no pointers, so mailbox buffers are opaque to
 // the garbage collector.
 type Message struct {
@@ -43,12 +19,6 @@ type Message struct {
 	Value int64
 	Aux   int64
 	Bits  int32
-
-	// Payload arena reference, set by SendPayload and resolved by
-	// Context.Payload. Zero payLen means no payload.
-	payShard int32
-	payOff   int32
-	payLen   int32
 }
 
 // Message flags. On static networks (Config.Topology == nil) both are
@@ -66,10 +36,6 @@ const (
 	FlagBounced
 )
 
-// HasPayload reports whether the message carries an []int32 payload slab
-// (LOCAL model only); read it with Context.Payload.
-func (m Message) HasPayload() bool { return m.payLen > 0 }
-
 // Bounced reports whether this message is the engine's bounce of one of the
 // receiver's own volatile sends over an inactive edge: From is the neighbor
 // that was unreachable, and the remaining fields are the original message's.
@@ -84,10 +50,8 @@ type Process interface {
 
 // Config controls a simulation run.
 type Config struct {
-	// Model is CONGEST (default) or LOCAL.
-	Model Model
-	// BandwidthBits is the per-directed-edge per-round budget in CONGEST
-	// mode. Zero selects the default Θ(log n) budget from DefaultBandwidth.
+	// BandwidthBits is the per-directed-edge per-round budget. Zero selects
+	// the default Θ(log n) budget from DefaultBandwidth.
 	BandwidthBits int
 	// MaxRounds aborts the run with ErrRoundLimit when exceeded.
 	// Zero selects a generous default of 64·n + 10^6.
@@ -117,8 +81,8 @@ type Config struct {
 	// run: only the peer's contiguous vertex range is computed here, and the
 	// deliver phase exchanges frames with the other peers (see
 	// ClusterConfig). Results are DeepEqual to the single-process run for
-	// any peer count. Cluster runs are CONGEST-only and exclude OnRound and
-	// adaptive topology providers.
+	// any peer count. Cluster runs exclude OnRound and adaptive topology
+	// providers.
 	Cluster *ClusterConfig
 }
 
@@ -188,11 +152,8 @@ type Stats struct {
 	// every other field they describe the execution, not the simulation:
 	// more workers mean more (smaller) buffers warming up, so these two may
 	// differ across worker counts while all results stay identical.
-	StepGrows    int64 // outbox/arena growth events during step phases
+	StepGrows    int64 // outbox growth events during step phases
 	DeliverGrows int64 // inbox growth events during deliver phases
-
-	// PayloadWords counts the int32 words copied through the payload arena.
-	PayloadWords int64
 
 	// Dynamic-topology counters (zero on static networks).
 	TopologyChanges int64 // edge activations/deactivations applied by the provider

@@ -167,15 +167,6 @@ func TestBandwidthAccumulates(t *testing.T) {
 	}
 }
 
-// TestLocalModeUnlimited: LOCAL mode does not enforce bandwidth.
-func TestLocalModeUnlimited(t *testing.T) {
-	net, _ := NewNetwork(pathGraph(2), Config{Model: LOCAL})
-	_, err := net.Run(func(id int) Process { return dribbler{id} })
-	if err != nil {
-		t.Fatalf("LOCAL mode rejected large traffic: %v", err)
-	}
-}
-
 // badSender sends to a non-neighbor.
 type badSender struct{ id int }
 
@@ -210,26 +201,6 @@ func (z zeroBits) Step(ctx *Context) {
 func TestZeroBitsRejected(t *testing.T) {
 	net, _ := NewNetwork(pathGraph(2), Config{})
 	_, err := net.Run(func(id int) Process { return zeroBits{id} })
-	var se *SendError
-	if !errors.As(err, &se) {
-		t.Fatalf("got %v, want SendError", err)
-	}
-}
-
-// payloadInCongest sends an []int32 payload slab in CONGEST mode.
-type payloadInCongest struct{ id int }
-
-func (e payloadInCongest) Init(ctx *Context) {}
-func (e payloadInCongest) Step(ctx *Context) {
-	if e.id == 0 {
-		ctx.SendPayload(1, Message{Kind: 1, Bits: 8}, []int32{1, 2, 3})
-	}
-	ctx.Halt()
-}
-
-func TestPayloadRejectedInCongest(t *testing.T) {
-	net, _ := NewNetwork(pathGraph(2), Config{})
-	_, err := net.Run(func(id int) Process { return payloadInCongest{id} })
 	var se *SendError
 	if !errors.As(err, &se) {
 		t.Fatalf("got %v, want SendError", err)
@@ -381,14 +352,5 @@ func TestDefaultBandwidthIsLogN(t *testing.T) {
 	}
 	if small := DefaultBandwidth(4); small < 8*BandwidthFactor {
 		t.Errorf("small-n floor violated: %d", small)
-	}
-}
-
-func TestModelString(t *testing.T) {
-	if CONGEST.String() != "CONGEST" || LOCAL.String() != "LOCAL" {
-		t.Error("model names")
-	}
-	if Model(9).String() == "" {
-		t.Error("unknown model name empty")
 	}
 }

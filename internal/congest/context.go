@@ -92,8 +92,7 @@ func (c *Context) Publish(v int64) {
 // fills From. Sends to non-neighbors or with non-positive Bits abort the
 // run. The neighbor lookup is O(1) via the precomputed edge-slot index; when
 // the caller already knows the neighbor's adjacency-row position, SendNbr
-// avoids even that. Payload references on m are dropped — a received
-// payload must be re-sent explicitly with SendPayload.
+// avoids even that.
 func (c *Context) Send(to int, m Message) {
 	if c.err != nil {
 		return
@@ -103,7 +102,6 @@ func (c *Context) Send(to int, m Message) {
 		c.err = &SendError{From: int(c.id), To: to, Round: c.net.round, Reason: "not a neighbor"}
 		return
 	}
-	m.payShard, m.payOff, m.payLen = 0, 0, 0
 	c.deposit(slot, int32(to), m)
 }
 
@@ -119,51 +117,7 @@ func (c *Context) SendNbr(i int, m Message) {
 		c.err = &SendError{From: int(c.id), To: -1, Round: c.net.round, Reason: "neighbor index out of range"}
 		return
 	}
-	m.payShard, m.payOff, m.payLen = 0, 0, 0
 	c.deposit(c.net.rowOff[c.id]+int32(i), row[i], m)
-}
-
-// SendPayload queues a message carrying an []int32 slab to neighbor `to`.
-// Payloads are a LOCAL-model facility (token sets, id lists, …): in CONGEST
-// mode the send aborts the run. The words are copied into the sender
-// shard's payload arena — the caller keeps ownership of the slice — and the
-// receiver reads them in place with Context.Payload during the step in
-// which the message is delivered.
-func (c *Context) SendPayload(to int, m Message, words []int32) {
-	if c.err != nil {
-		return
-	}
-	if c.net.cfg.Model == CONGEST {
-		c.err = &SendError{From: int(c.id), To: to, Round: c.net.round, Reason: "payloads are LOCAL-model only"}
-		return
-	}
-	slot := c.net.slots.lookup(c.id, int32(to))
-	if slot < 0 {
-		c.err = &SendError{From: int(c.id), To: to, Round: c.net.round, Reason: "not a neighbor"}
-		return
-	}
-	off, grew := c.sh.arena.put(words)
-	if grew {
-		c.sh.stepGrows++
-	}
-	c.sh.payloadWords += int64(len(words))
-	m.payShard = c.sh.idx
-	m.payOff = off
-	m.payLen = int32(len(words))
-	c.deposit(slot, int32(to), m)
-}
-
-// Payload resolves a received message's []int32 slab. The slice aliases the
-// engine's arena and is valid only during the step in which the message was
-// delivered; copy anything retained longer. Returns nil when the message
-// carries no payload.
-func (c *Context) Payload(m Message) []int32 {
-	if m.payLen == 0 {
-		return nil
-	}
-	a := &c.net.shards[m.payShard].arena
-	buf := a.buf[1-a.cur]
-	return buf[m.payOff : m.payOff+m.payLen]
 }
 
 // deposit routes a validated message into the sharded mailbox of the
@@ -191,15 +145,13 @@ func (c *Context) deposit(slot, to int32, m Message) {
 		c.sh.out[s] = append(buf, pend{to: c.id, msg: m})
 		return
 	}
-	if c.net.cfg.Model == CONGEST {
-		used := c.net.chargeEdge(slot, m.Bits)
-		if used > c.sh.maxEdgeBits {
-			c.sh.maxEdgeBits = used
-		}
-		if used > c.net.bandwidth {
-			c.err = &BandwidthError{From: int(c.id), To: int(to), Round: c.net.round, Used: used, Limit: c.net.bandwidth}
-			return
-		}
+	used := c.net.chargeEdge(slot, m.Bits)
+	if used > c.sh.maxEdgeBits {
+		c.sh.maxEdgeBits = used
+	}
+	if used > c.net.bandwidth {
+		c.err = &BandwidthError{From: int(c.id), To: int(to), Round: c.net.round, Used: used, Limit: c.net.bandwidth}
+		return
 	}
 	m.From = c.id
 	s := c.net.owner[to]
@@ -249,30 +201,4 @@ func (c *Context) Sleep(rounds int) {
 	if rounds > 0 {
 		c.sleep = int32(c.net.round + rounds)
 	}
-}
-
-// payloadArena is a per-shard double-buffered []int32 slab store. Writers
-// append to buf[cur]; readers (receivers of last round's messages) read
-// buf[1-cur]. The engine flips cur between rounds, truncating the buffer
-// whose payloads were consumed, so the steady state allocates nothing.
-type payloadArena struct {
-	buf [2][]int32
-	cur int
-}
-
-// put copies words into the current write buffer, returning the offset and
-// whether the buffer had to grow.
-func (a *payloadArena) put(words []int32) (off int32, grew bool) {
-	buf := a.buf[a.cur]
-	off = int32(len(buf))
-	grew = len(buf)+len(words) > cap(buf)
-	a.buf[a.cur] = append(buf, words...)
-	return off, grew
-}
-
-// flip swaps the read and write roles: last round's write buffer becomes
-// readable, and the buffer read two rounds ago is truncated for reuse.
-func (a *payloadArena) flip() {
-	a.cur = 1 - a.cur
-	a.buf[a.cur] = a.buf[a.cur][:0]
 }

@@ -1,6 +1,6 @@
-// Package congest simulates the synchronous CONGEST and LOCAL models of
-// distributed computing (paper §1.1) on an undirected graph — static, or
-// dynamic under per-round edge churn.
+// Package congest simulates the synchronous CONGEST model of distributed
+// computing (paper §1.1) on an undirected graph — static, or dynamic under
+// per-round edge churn.
 //
 // Execution proceeds in globally synchronous rounds. In round r every
 // non-halted node is stepped exactly once; it sees the messages its
@@ -11,9 +11,9 @@
 // vertex" model — and the engine is deterministic for a fixed seed
 // regardless of the worker count.
 //
-// In CONGEST mode the engine *enforces* the bandwidth constraint: the total
-// size of the messages a node sends over one directed edge in one round must
-// not exceed the per-edge budget B = Θ(log n) bits. Violations abort the run
+// The engine *enforces* the CONGEST bandwidth constraint: the total size of
+// the messages a node sends over one directed edge in one round must not
+// exceed the per-edge budget B = Θ(log n) bits. Violations abort the run
 // with a descriptive error; the algorithms in internal/core are written so
 // that this never fires, and the tests exercise the enforcement path
 // deliberately.
@@ -48,13 +48,6 @@
 //     indexes the per-directed-edge bandwidth accounting arrays, which only
 //     the sending shard writes.
 //
-//   - Typed payload arena. LOCAL-model messages can carry an []int32 slab
-//     (SendPayload/Context.Payload) stored in a per-shard double-buffered
-//     arena instead of a boxed interface{} value. Payloads are copied once
-//     into the sender's arena at send time and read in place by the
-//     receiver next round; the buffer that fed round r is truncated and
-//     reused for round r+2.
-//
 //   - Liveness tracking. Each shard keeps a compact ascending list of its
 //     live (non-halted) nodes, compacted in place as nodes halt, plus a
 //     halted count, so round upkeep is O(live), not O(n). Sleeping nodes
@@ -85,8 +78,8 @@
 // networks replay the exact same churn schedule.
 //
 // Stats exposes counters for each of these mechanisms (ActiveSteps,
-// SleepSkips, Wakeups, SkippedRounds, PayloadWords, TopologyChanges,
-// DroppedSends, and the per-phase buffer-growth counters
-// StepGrows/DeliverGrows), so regressions in the zero-allocation property
-// are observable from the outside.
+// SleepSkips, Wakeups, SkippedRounds, TopologyChanges, DroppedSends, and
+// the per-phase buffer-growth counters StepGrows/DeliverGrows), so
+// regressions in the zero-allocation property are observable from the
+// outside.
 package congest

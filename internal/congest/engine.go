@@ -46,9 +46,6 @@ type shard struct {
 	// order. Truncated (never freed) after each deliver phase.
 	out [][]pend
 
-	// arena stores this shard's outgoing []int32 payload slabs.
-	arena payloadArena
-
 	// wireOut[p] buffers this shard's records destined to cluster peer p, in
 	// send order (nil outside cluster mode). Truncated (never freed) when
 	// the transport merges them into the per-peer frames.
@@ -62,7 +59,6 @@ type shard struct {
 	msgs         int64
 	bits         int64
 	drops        int64
-	payloadWords int64
 	stepGrows    int64
 	deliverGrows int64
 	maxEdgeBits  int
@@ -187,8 +183,6 @@ func (n *Network) mergeStep() roundReport {
 		sh.skips = 0
 		n.stats.StepGrows += sh.stepGrows
 		sh.stepGrows = 0
-		n.stats.PayloadWords += sh.payloadWords
-		sh.payloadWords = 0
 		// Bounces sit in the outboxes but traverse no edge.
 		rep.sent -= sh.drops
 		for _, o := range sh.out {
@@ -247,7 +241,7 @@ func (n *Network) finalize() *Stats {
 //
 // Run may be called repeatedly on the same network (optionally reseeded via
 // SetSeed between calls): every slab from the previous run — contexts, RNGs,
-// mailboxes, arenas, inboxes — is reset in place and reused, so repeated
+// mailboxes, inboxes — is reset in place and reused, so repeated
 // runs amortize network construction. The returned Stats are a private copy,
 // unaffected by later runs. Concurrent Runs on one network are not allowed.
 func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
@@ -277,7 +271,7 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 		// inbox arena serve the whole network: the arena gives every node
 		// an inbox segment of capacity degree (the common per-round
 		// fan-in), so warmup growth is one allocation, not n. On huge
-		// graphs the degree-capacity arena (48 bytes per directed edge)
+		// graphs the degree-capacity arena (40 bytes per directed edge)
 		// would dwarf the CSR itself while sparse-traffic protocols never
 		// fill it, so beyond the cap inboxes start empty and grow to
 		// actual traffic instead.
@@ -318,7 +312,7 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 		}
 		n.rngSrcs = make([]splitmix64, nn)
 		n.rngs = make([]rand.Rand, nn)
-		const inboxArenaCap = 1 << 20 // Message slots (~48 MB) — covers every bench-scale graph
+		const inboxArenaCap = 1 << 20 // Message slots (~40 MB) — covers every bench-scale graph
 		// Sized by the materialized rows (2·M full, ~1/P on a graph shard).
 		if slots := int(n.rowOff[nn]); slots <= inboxArenaCap {
 			n.inboxArena = make([]Message, slots)
@@ -437,9 +431,6 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 			// Round-r topology: applied while every worker is quiescent,
 			// frozen for the whole round.
 			n.cfg.Topology.ApplyRound(n.round, &n.topo)
-		}
-		for i := range n.shards {
-			n.shards[i].arena.flip()
 		}
 		n.runPhase(phaseStep)
 		rep = n.mergeStep()

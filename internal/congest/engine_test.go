@@ -134,108 +134,6 @@ func TestSteadyStateDoesNotAllocatePerMessage(t *testing.T) {
 	}
 }
 
-// ---- payload arena ----
-
-// payloadRelay: node 0 sends growing []int32 slabs down a path; each hop
-// verifies content and forwards a derived slab.
-type payloadRelay struct {
-	id   int
-	n    int
-	got  [][]int32
-	done bool
-}
-
-func (p *payloadRelay) Init(ctx *Context) {
-	if p.id == 0 {
-		ctx.SendPayload(1, Message{Kind: 9, Bits: 8}, []int32{7})
-	}
-}
-
-func (p *payloadRelay) Step(ctx *Context) {
-	for _, m := range ctx.Inbox() {
-		if m.Kind != 9 || !m.HasPayload() {
-			continue
-		}
-		words := ctx.Payload(m)
-		cp := make([]int32, len(words))
-		copy(cp, words)
-		p.got = append(p.got, cp)
-		if p.id+1 < p.n && !p.done {
-			next := append(cp, int32(p.id)*100)
-			ctx.SendPayload(p.id+1, Message{Kind: 9, Bits: int32(8 * len(next))}, next)
-		}
-		p.done = true
-	}
-	if p.done || ctx.Round() > p.n+2 {
-		ctx.Halt()
-	}
-}
-
-func TestPayloadRelayAcrossArena(t *testing.T) {
-	const n = 6
-	net, _ := NewNetwork(pathGraph(n), Config{Model: LOCAL})
-	procs := make([]*payloadRelay, n)
-	stats, err := net.Run(func(id int) Process {
-		procs[id] = &payloadRelay{id: id, n: n}
-		return procs[id]
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int32{7}
-	for i := 1; i < n; i++ {
-		if len(procs[i].got) != 1 {
-			t.Fatalf("node %d received %d payloads, want 1", i, len(procs[i].got))
-		}
-		got := procs[i].got[0]
-		if len(got) != len(want) {
-			t.Fatalf("node %d payload %v, want %v", i, got, want)
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("node %d payload %v, want %v", i, got, want)
-			}
-		}
-		want = append(want, int32(i)*100)
-	}
-	if stats.PayloadWords == 0 {
-		t.Error("PayloadWords not counted")
-	}
-}
-
-// TestPayloadNotForwarded: re-sending a received message with Send drops the
-// payload reference instead of leaking a stale arena slice.
-type payloadForwarder struct{ id int }
-
-func (p *payloadForwarder) Init(ctx *Context) {
-	if p.id == 0 {
-		ctx.SendPayload(1, Message{Kind: 1, Bits: 8}, []int32{1, 2})
-	}
-}
-
-func (p *payloadForwarder) Step(ctx *Context) {
-	for _, m := range ctx.Inbox() {
-		switch p.id {
-		case 1:
-			ctx.Send(2, m) // naive forward: payload must be stripped
-		case 2:
-			if m.HasPayload() {
-				panic("stale payload reference survived a forward")
-			}
-		}
-	}
-	if ctx.Round() >= 3 {
-		ctx.Halt()
-	}
-}
-
-func TestPayloadNotForwarded(t *testing.T) {
-	net, _ := NewNetwork(pathGraph(3), Config{Model: LOCAL})
-	if _, err := net.Run(func(id int) Process { return &payloadForwarder{id: id} }); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // ---- SendNbr ----
 
 type nbrSender struct{ id int }

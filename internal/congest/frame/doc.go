@@ -22,11 +22,10 @@
 //	48      E     error text ("" when the sender is healthy)
 //	48+E    C·34  records
 //
-// Each record is one congest.Message with its destination vertex — the fixed
-// fields only; payload slabs are a LOCAL-model facility and never cross the
-// wire (cluster runs are CONGEST-only). Records preserve send order: the
-// engine fills frames in (ascending sender id, send order) and the receiver
-// replays them in peer order, which is what keeps a cluster run's delivery
+// Each record is one congest.Message with its destination vertex: every
+// field except Round, which the receiver stamps. Records preserve send
+// order: the engine fills frames in (ascending sender id, send order) and
+// the receiver replays them in peer order, which is what keeps a cluster run's delivery
 // order — and therefore its results — byte-identical to the single-process
 // run.
 //

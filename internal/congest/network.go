@@ -164,8 +164,8 @@ func (n *Network) Seed() int64 { return n.cfg.Seed }
 // resetRunState rewinds every piece of per-run state so the network can
 // execute another Run on the same graph while reusing all allocated slabs:
 // the round counter and statistics restart from zero, the bandwidth stamps
-// are invalidated, and each shard's live list, mailboxes, payload arena and
-// accumulators are truncated in place (capacity — the warm buffer sizes
+// are invalidated, and each shard's live list, mailboxes and accumulators
+// are truncated in place (capacity — the warm buffer sizes
 // reached by the previous run — is kept, which is the point of reuse).
 func (n *Network) resetRunState() {
 	n.round = 0
@@ -179,11 +179,8 @@ func (n *Network) resetRunState() {
 		for s := range sh.out {
 			sh.out[s] = sh.out[s][:0]
 		}
-		sh.arena.buf[0] = sh.arena.buf[0][:0]
-		sh.arena.buf[1] = sh.arena.buf[1][:0]
-		sh.arena.cur = 0
 		sh.steps, sh.skips, sh.wakes, sh.halts = 0, 0, 0, 0
-		sh.msgs, sh.bits, sh.payloadWords, sh.drops = 0, 0, 0, 0
+		sh.msgs, sh.bits, sh.drops = 0, 0, 0
 		sh.stepGrows, sh.deliverGrows = 0, 0
 		sh.maxEdgeBits = 0
 		sh.minWake = noWake

@@ -117,43 +117,3 @@ func TestRunReuseSetSeed(t *testing.T) {
 		t.Error("seeds 1 and 2 produced identical executions — reseed did not take")
 	}
 }
-
-// TestRunReusePayloadArena reuses a LOCAL-model network whose protocol
-// relays payload slabs, covering the arena flip/truncate state across runs.
-func TestRunReusePayloadArena(t *testing.T) {
-	g := pathGraph(6)
-	run := func(net *Network) []int32 {
-		var last *payloadRelay
-		_, err := net.Run(func(id int) Process {
-			p := &payloadRelay{id: id, n: g.N()}
-			if id == g.N()-1 {
-				last = p
-			}
-			return p
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(last.got) == 0 {
-			return nil
-		}
-		return append([]int32(nil), last.got[0]...)
-	}
-	net, err := NewNetwork(g, Config{Model: LOCAL, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := run(net)
-	second := run(net)
-	if len(first) == 0 {
-		t.Fatal("relay delivered nothing")
-	}
-	if len(first) != len(second) {
-		t.Fatalf("payload lengths differ across reuse: %d vs %d", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("payload word %d differs across reuse: %d vs %d", i, first[i], second[i])
-		}
-	}
-}

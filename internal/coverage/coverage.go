@@ -87,28 +87,13 @@ type Result struct {
 // Distributed runs the protocol: push–pull until (·, β)-partial spreading,
 // then local greedy at every node over the sets it has seen.
 func Distributed(g *graph.Graph, inst *Instance, beta float64, seed int64) (*Result, error) {
-	// Phase 1: spread ownership. Token t = "node t's set". We reuse the
-	// spread simulator; its token bitsets record which sets each node knows.
-	return distributed(g, inst, func() (*spread.Collected, error) {
-		return spread.RunCollecting(g, spread.Config{Beta: beta, Seed: seed, StopAtPartial: true})
-	})
-}
-
-// DistributedEngine is Distributed with the spreading phase executed on the
-// congest engine (spread.RunOnEngineCollecting): token sets travel as
-// payload slabs with honest LOCAL-model accounting and parallel stepping.
-func DistributedEngine(g *graph.Graph, inst *Instance, beta float64, seed int64) (*Result, error) {
-	return distributed(g, inst, func() (*spread.Collected, error) {
-		return spread.RunOnEngineCollecting(g, spread.Config{Beta: beta, Seed: seed, StopAtPartial: true})
-	})
-}
-
-func distributed(g *graph.Graph, inst *Instance, spreadPhase func() (*spread.Collected, error)) (*Result, error) {
 	n := g.N()
 	if len(inst.Sets) != n {
 		return nil, fmt.Errorf("coverage: instance has %d sets for %d nodes", len(inst.Sets), n)
 	}
-	sp, err := spreadPhase()
+	// Phase 1: spread ownership. Token t = "node t's set". We reuse the
+	// spread simulator; its token bitsets record which sets each node knows.
+	sp, err := spread.RunCollecting(g, spread.Config{Beta: beta, Seed: seed, StopAtPartial: true})
 	if err != nil {
 		return nil, err
 	}

@@ -92,28 +92,3 @@ func TestDistributedValidation(t *testing.T) {
 		t.Error("instance/graph mismatch accepted")
 	}
 }
-
-func TestDistributedEngineMatchesQualityBar(t *testing.T) {
-	g, err := gen.RingOfCliques(3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	inst, err := RandomInstance(g.N(), 60, 6, 4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := DistributedEngine(g, inst, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CentralCovered <= 0 || res.BestCovered <= 0 {
-		t.Fatalf("degenerate result: %+v", res)
-	}
-	if res.Ratio < 0.5 || res.Ratio > 1.0 {
-		t.Errorf("engine-spread greedy ratio %.3f outside [0.5, 1]", res.Ratio)
-	}
-	if res.MinSetsSeen < g.N()/3 {
-		t.Errorf("partial spreading under-delivered: min sets seen %d < n/β", res.MinSetsSeen)
-	}
-}

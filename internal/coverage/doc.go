@@ -12,7 +12,7 @@
 // which achieves the optimal 1−1/e approximation.
 //
 // Instances and protocols are seeded: a fixed (instance rng, protocol seed)
-// pair reproduces the whole run, including the engine-backed variant
-// (DistributedEngine), which inherits the round engine's worker-count
-// invariance.
+// pair reproduces the whole run. The spreading phase is spread.RunCollecting,
+// the LOCAL-model push–pull simulator, whose results do not depend on its
+// worker count.
 package coverage

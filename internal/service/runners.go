@@ -60,7 +60,7 @@ func registerBuiltins(r *Registry) {
 		"Algorithm 1 fixed-point walk-distribution estimate (= localmix.EstimateRWProbability)",
 		runEstimate)
 	r.Register(spec.KindSpread,
-		"push–pull gossip (§4): local, congest, or engine transport (= localmix.PushPull*)",
+		"push–pull gossip (§4): local or congest transport (= localmix.PushPull*)",
 		runSpread)
 	r.Register(spec.KindLeader,
 		"min-id leader election over gossip (= localmix.LeaderElection)",
@@ -278,10 +278,10 @@ func runSweep(inv *Invocation) (any, error) {
 // seeds — but not the per-sweep source selection, so repeated sweeps with
 // different samples share one pool.
 func poolKey(cfg core.Config, churnKey string, workers int) string {
-	return fmt.Sprintf("m=%v/b=%g/e=%g/lazy=%t/c=%d/ml=%d/tb=%d/irr=%t/seed=%d/ew=%d/mr=%d/bw=%d/model=%v/churn=%s/w=%d",
+	return fmt.Sprintf("m=%v/b=%g/e=%g/lazy=%t/c=%d/ml=%d/tb=%d/irr=%t/seed=%d/ew=%d/mr=%d/bw=%d/churn=%s/w=%d",
 		cfg.Mode, cfg.Beta, cfg.Eps, cfg.Lazy, cfg.C, cfg.MaxLength, cfg.TieBreakBits,
 		cfg.AllowIrregular, cfg.Engine.Seed, cfg.Engine.Workers, cfg.Engine.MaxRounds,
-		cfg.Engine.BandwidthBits, cfg.Engine.Model, churnKey, workers)
+		cfg.Engine.BandwidthBits, churnKey, workers)
 }
 
 func runSpread(inv *Invocation) (any, error) {
@@ -302,8 +302,6 @@ func runSpread(inv *Invocation) (any, error) {
 		return spread.Run(inv.Env.Graph(), cfg)
 	case "congest":
 		return spread.RunCongest(inv.Env.Graph(), cfg)
-	case "engine":
-		return spread.RunOnEngine(inv.Env.Graph(), cfg)
 	default:
 		return nil, fmt.Errorf("service: unknown spread transport %q", t.Transport)
 	}
@@ -321,7 +319,6 @@ func runLeader(inv *Invocation) (any, error) {
 func runCoverage(inv *Invocation) (any, error) {
 	t := inv.Task
 	inst := inv.Instance
-	engine := t.Coverage != nil && t.Coverage.Engine
 	if inst == nil {
 		c := t.Coverage
 		if c == nil {
@@ -333,9 +330,6 @@ func runCoverage(inv *Invocation) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if engine {
-		return coverage.DistributedEngine(inv.Env.Graph(), inst, t.Beta, t.Seed)
 	}
 	return coverage.Distributed(inv.Env.Graph(), inst, t.Beta, t.Seed)
 }

@@ -160,6 +160,8 @@ func TestTaskSpecValidate(t *testing.T) {
 		{"bad sweep mode", TaskSpec{Kind: KindSweep, Mode: "fast"}, false},
 		{"sweep mode mixing", TaskSpec{Kind: KindSweep, Mode: "mixing"}, true},
 		{"bad transport", TaskSpec{Kind: KindSpread, Transport: "carrier-pigeon"}, false},
+		{"congest transport", TaskSpec{Kind: KindSpread, Transport: "congest"}, true},
+		{"retired engine transport", TaskSpec{Kind: KindSpread, Transport: "engine"}, false},
 		{"coverage needs instance", TaskSpec{Kind: KindCoverage}, false},
 		{"coverage with instance", TaskSpec{Kind: KindCoverage, Coverage: &CoverageSpec{Universe: 10, PerNode: 2, K: 2}}, true},
 		{"deadline", TaskSpec{Kind: KindMixing, DeadlineMS: 500}, true},

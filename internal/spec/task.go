@@ -44,7 +44,7 @@ const (
 	// length-ℓ walk distribution estimate.
 	KindEstimate Kind = "estimate"
 	// KindSpread is push–pull gossip (§4); Transport selects the direct
-	// LOCAL simulator, the CONGEST variant, or the engine-backed run.
+	// LOCAL simulator or the CONGEST variant.
 	KindSpread Kind = "spread"
 	// KindLeader is min-id leader election over gossip.
 	KindLeader Kind = "leader"
@@ -123,8 +123,6 @@ type CoverageSpec struct {
 	K int `json:"k"`
 	// Seed draws the instance (independent from the run seed).
 	Seed int64 `json:"seed,omitempty"`
-	// Engine runs the spreading phase on the round engine.
-	Engine bool `json:"engine,omitempty"`
 }
 
 // TaskSpec names one computation over a graph: the task kind plus every
@@ -198,7 +196,7 @@ type TaskSpec struct {
 	// FixedRounds runs a spread for exactly this many rounds.
 	FixedRounds int `json:"fixedRounds,omitempty"`
 	// Transport selects the spread implementation: local (direct LOCAL
-	// simulator, the default), congest, or engine.
+	// simulator, the default) or congest.
 	Transport string `json:"transport,omitempty"`
 	// Churn attaches a dynamic-network churn model (distributed kinds;
 	// required for KindDynamic).
@@ -296,8 +294,8 @@ func (t TaskSpec) Validate() error {
 			return fmt.Errorf("spec: sweep mode must be approx, exact or mixing, got %q", m)
 		}
 	case KindSpread:
-		if tr := t.Transport; tr != "" && tr != "local" && tr != "congest" && tr != "engine" {
-			return fmt.Errorf("spec: spread transport must be local, congest or engine, got %q", tr)
+		if tr := t.Transport; tr != "" && tr != "local" && tr != "congest" {
+			return fmt.Errorf("spec: spread transport must be local or congest, got %q", tr)
 		}
 	case KindCoverage:
 		if t.Coverage == nil {

@@ -58,8 +58,8 @@ func (p *gossipProc) Step(ctx *congest.Context) {
 // RunCongest executes push–pull under the CONGEST constraint: one token id
 // per message (paper §4, footnote 10). The run stops as soon as
 // (·, β)-partial information spreading holds, or at MaxRounds. Unlike Run
-// (the LOCAL-model simulator) and RunOnEngine (the LOCAL-model engine run),
-// this uses the congest engine with full per-edge bandwidth enforcement.
+// (the LOCAL-model simulator), this uses the congest engine with full
+// per-edge bandwidth enforcement.
 func RunCongest(g *graph.Graph, cfg Config) (*Result, error) {
 	maxRounds, target, err := engineParams(g, cfg)
 	if err != nil {
@@ -69,7 +69,7 @@ func RunCongest(g *graph.Graph, cfg Config) (*Result, error) {
 	msgBits := int32(bits.Len(uint(n-1)) + 8)
 	slab := make([]gossipProc, n)
 	res := &Result{RoundsToPartial: -1, RoundsToFull: -1}
-	mo := newMonitor(n, target, maxRounds, cfg, res, func(u int) []int32 { return slab[u].list })
+	mo := newMonitor(n, target, maxRounds, cfg, res, slab)
 	net, err := congest.NewNetwork(g, congest.Config{
 		Seed:      cfg.Seed,
 		Workers:   cfg.Workers,

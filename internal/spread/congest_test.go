@@ -86,3 +86,23 @@ func TestRunCongestDeterministic(t *testing.T) {
 		t.Error("same seed, different CONGEST gossip outcome")
 	}
 }
+
+// TestRunCongestDeterministicAcrossWorkers: the worker count of the round
+// engine must not change the outcome of the bandwidth-constrained variant.
+func TestRunCongestDeterministicAcrossWorkers(t *testing.T) {
+	g, err := gen.RingOfCliques(4, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) *Result {
+		res, err := RunCongest(g, Config{Beta: 4, Seed: 3, Workers: workers, StopAtPartial: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(1), run(8)
+	if a.RoundsToPartial != b.RoundsToPartial || a.Rounds != b.Rounds || a.Messages != b.Messages {
+		t.Errorf("worker count changed the outcome: %+v vs %+v", a, b)
+	}
+}

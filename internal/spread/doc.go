@@ -11,12 +11,9 @@
 // internal/core.
 //
 // Token sets are bitsets and exchanges are unions, which models the LOCAL
-// assumption of unbounded per-round messages; the congest engine's LOCAL
-// mode carries them with honest accounting of the (unbounded) bits. Three
-// runners are provided: the direct simulator (Run), the engine-backed
-// RunOnEngine with payload slabs and parallel stepping, and the footnote-10
-// CONGEST variant (RunCongest) restricted to one O(log n)-bit token id per
-// message. All are seeded and reproducible; the engine-backed runner is
-// additionally deterministic for every worker count, like everything on the
-// round engine.
+// assumption of unbounded per-round messages. Two runners are provided: the
+// direct LOCAL-model simulator (Run, RunCollecting), and the footnote-10
+// CONGEST variant (RunCongest) on the round engine, restricted to one
+// O(log n)-bit token id per message. Both are seeded, reproducible and
+// deterministic for every worker count.
 package spread

@@ -3,9 +3,7 @@ package spread
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
-	"repro/internal/bitset"
 	"repro/internal/congest"
 	"repro/internal/graph"
 )
@@ -39,7 +37,6 @@ func engineParams(g *graph.Graph, cfg Config) (maxRounds, target int, err error)
 
 // monitor folds the per-node (append-only) token lists into global reach
 // counts while the engine is quiescent, and decides when to stop the run.
-// It is shared by RunCongest and RunOnEngine.
 type monitor struct {
 	n, target int
 	maxRounds int
@@ -47,13 +44,13 @@ type monitor struct {
 	res       *Result
 	reach     []int // reach[t] = #nodes holding token t
 	counted   []int // counted[u] = prefix of u's list already folded in
-	list      func(u int) []int32
+	procs     []gossipProc
 }
 
-func newMonitor(n, target, maxRounds int, cfg Config, res *Result, list func(u int) []int32) *monitor {
+func newMonitor(n, target, maxRounds int, cfg Config, res *Result, procs []gossipProc) *monitor {
 	return &monitor{
 		n: n, target: target, maxRounds: maxRounds, cfg: cfg, res: res,
-		reach: make([]int, n), counted: make([]int, n), list: list,
+		reach: make([]int, n), counted: make([]int, n), procs: procs,
 	}
 }
 
@@ -61,7 +58,7 @@ func (mo *monitor) onRound(round int) bool {
 	mo.res.Rounds = round
 	minHeld := mo.n + 1
 	for u := 0; u < mo.n; u++ {
-		l := mo.list(u)
+		l := mo.procs[u].list
 		for ; mo.counted[u] < len(l); mo.counted[u]++ {
 			mo.reach[l[mo.counted[u]]]++
 		}
@@ -94,7 +91,7 @@ func (mo *monitor) finish(stats *congest.Stats) (*Result, error) {
 	mo.res.Stats = stats
 	minHeld, minReach := mo.n, mo.n
 	for u := 0; u < mo.n; u++ {
-		if h := len(mo.list(u)); h < minHeld {
+		if h := len(mo.procs[u].list); h < minHeld {
 			minHeld = h
 		}
 	}
@@ -109,100 +106,4 @@ func (mo *monitor) finish(stats *congest.Stats) (*Result, error) {
 		return mo.res, fmt.Errorf("spread: partial spreading not reached in %d rounds", mo.maxRounds)
 	}
 	return mo.res, nil
-}
-
-// localProc is one node of the LOCAL-model push–pull executed on the
-// congest engine: each round it contacts a uniformly random neighbor with
-// its full token set (push) and answers every contact from the previous
-// round with its full set (pull). Token sets travel as []int32 slabs
-// through the engine's payload arena — one copy into flat storage per
-// send, no boxing per message — with honest (unbounded, LOCAL) bit
-// accounting.
-type localProc struct {
-	idBits int32
-	held   *bitset.Set
-	list   []int32 // held token ids, append-only (the monitor relies on it)
-}
-
-func (p *localProc) add(tok int32) {
-	if !p.held.Contains(int(tok)) {
-		p.held.Add(int(tok))
-		p.list = append(p.list, tok)
-	}
-}
-
-func (p *localProc) msgBits() int32 { return 8 + int32(len(p.list))*p.idBits }
-
-func (p *localProc) Init(ctx *congest.Context) {}
-
-func (p *localProc) Step(ctx *congest.Context) {
-	for _, m := range ctx.Inbox() {
-		for _, t := range ctx.Payload(m) {
-			p.add(t)
-		}
-		if m.Kind == kindPush {
-			ctx.SendPayload(int(m.From), congest.Message{Kind: kindReply, Bits: p.msgBits()}, p.list)
-		}
-	}
-	ctx.SendPayload(int(ctx.Neighbors()[ctx.Rand().Intn(ctx.Degree())]),
-		congest.Message{Kind: kindPush, Bits: p.msgBits()}, p.list)
-}
-
-// RunOnEngine executes LOCAL-model push–pull on the congest engine (LOCAL
-// mode: full token sets per exchange, unbounded messages honestly
-// accounted). It reports the same Result semantics as Run, with engine
-// Stats attached. Unlike Run's direct simulator it inherits the engine's
-// per-node RNGs and parallel stepping, so results are deterministic in
-// (Seed, graph) but not bit-identical to Run's.
-func RunOnEngine(g *graph.Graph, cfg Config) (*Result, error) {
-	res, _, err := runOnEngine(g, cfg)
-	return res, err
-}
-
-// RunOnEngineCollecting is RunOnEngine, additionally returning the final
-// per-node token sets (for applications such as max coverage).
-func RunOnEngineCollecting(g *graph.Graph, cfg Config) (*Collected, error) {
-	res, slab, err := runOnEngine(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	known := make([]*bitset.Set, len(slab))
-	for u := range slab {
-		known[u] = slab[u].held
-	}
-	return &Collected{Result: res, Known: known}, nil
-}
-
-func runOnEngine(g *graph.Graph, cfg Config) (*Result, []localProc, error) {
-	maxRounds, target, err := engineParams(g, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := g.N()
-	idBits := int32(bits.Len(uint(n - 1)))
-	slab := make([]localProc, n)
-	res := &Result{RoundsToPartial: -1, RoundsToFull: -1}
-	mo := newMonitor(n, target, maxRounds, cfg, res, func(u int) []int32 { return slab[u].list })
-	net, err := congest.NewNetwork(g, congest.Config{
-		Model:     congest.LOCAL,
-		Seed:      cfg.Seed,
-		Workers:   cfg.Workers,
-		MaxRounds: maxRounds + 1,
-		OnRound:   mo.onRound,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	stats, err := net.Run(func(id int) congest.Process {
-		p := &slab[id]
-		p.idBits = idBits
-		p.held = bitset.New(n)
-		p.add(int32(id))
-		return p
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := mo.finish(stats)
-	return out, slab, err
 }

@@ -29,10 +29,9 @@ type Config struct {
 	// FixedRounds, when positive, runs exactly this many rounds and then
 	// reports whatever was achieved (the Theorem 3 termination rule).
 	FixedRounds int
-	// Workers sets the engine parallelism for the engine-backed runs
-	// (RunCongest, RunOnEngine) and the snapshot-phase parallelism of the
-	// direct simulator (Run); zero means GOMAXPROCS. It never changes
-	// results.
+	// Workers sets the engine parallelism of RunCongest and the
+	// snapshot-phase parallelism of the direct simulator (Run); zero means
+	// GOMAXPROCS. It never changes results.
 	Workers int
 }
 
@@ -51,16 +50,15 @@ type Result struct {
 	MinNodesPerToken int
 	// Messages counts the pairwise exchanges performed.
 	Messages int64
-	// Stats carries the congest engine's counters for the engine-backed
-	// runs (RunCongest, RunOnEngine); nil for the direct simulator.
+	// Stats carries the congest engine's counters for RunCongest; nil for
+	// the direct simulator.
 	Stats *congest.Stats
 }
 
 // state is the in-memory gossip simulator. Push–pull needs no bandwidth
 // accounting (LOCAL model), so a direct simulation is both faithful and
-// fast; the congest engine is reserved for the CONGEST algorithms (and for
-// RunOnEngine, the engine-backed variant with honest payload accounting).
-// The snapshot and choice buffers are allocated once and reused every
+// fast; the congest engine is reserved for the CONGEST algorithms. The
+// snapshot and choice buffers are allocated once and reused every
 // round, and set merges run word-level, so the steady-state round loop is
 // allocation-free.
 type state struct {

@@ -2,6 +2,8 @@ package spread
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -115,6 +117,49 @@ func TestRunCollecting(t *testing.T) {
 		}
 		if s.Count() < 8 {
 			t.Errorf("node %d holds %d tokens, want ≥ 8", u, s.Count())
+		}
+	}
+}
+
+// TestRunDeterministicAcrossWorkers: Run is the only LOCAL push–pull path,
+// and from snapParallelMin nodes on its snapshot phase fans out over the
+// walkkernel pool. The worker count must change neither the tallies nor any
+// node's final token set.
+func TestRunDeterministicAcrossWorkers(t *testing.T) {
+	g, err := gen.Hypercube(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N() < snapParallelMin {
+		t.Fatalf("n = %d is below snapParallelMin = %d: the parallel snapshot phase would not run", g.N(), snapParallelMin)
+	}
+	cfg := Config{Beta: 4, Seed: 5, StopAtPartial: true}
+	var ref *Collected
+	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		cfg.Workers = w
+		res, err := Run(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := RunCollecting(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, col.Result) {
+			t.Fatalf("workers=%d: Run %+v, RunCollecting %+v", w, res, col.Result)
+		}
+		if ref == nil {
+			if res.RoundsToPartial < 1 {
+				t.Fatalf("degenerate run: %+v", res)
+			}
+			ref = col
+			continue
+		}
+		if !reflect.DeepEqual(col.Result, ref.Result) {
+			t.Errorf("workers=%d changed the result: %+v vs %+v", w, col.Result, ref.Result)
+		}
+		if !reflect.DeepEqual(col.Known, ref.Known) {
+			t.Errorf("workers=%d changed the final token sets", w)
 		}
 	}
 }

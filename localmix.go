@@ -424,28 +424,6 @@ func PushPullCongest(g *Graph, cfg SpreadConfig) (*SpreadResult, error) {
 	})
 }
 
-// PushPullEngine runs LOCAL-model push–pull on the sharded round engine:
-// full token sets per exchange, carried as typed payload slabs with honest
-// bit accounting and parallel stepping (cfg.Workers). Results attach the
-// engine's Stats counters.
-func PushPullEngine(g *Graph, cfg SpreadConfig) (*SpreadResult, error) {
-	return call[*SpreadResult](spec.KindSpread, &service.Invocation{
-		Env:    service.DirectEnv(g),
-		Task:   spec.TaskSpec{Transport: "engine"},
-		Spread: &cfg,
-	})
-}
-
-// DistributedMaxCoverageEngine is DistributedMaxCoverage with the spreading
-// phase executed on the round engine (see PushPullEngine).
-func DistributedMaxCoverageEngine(g *Graph, inst *CoverageInstance, beta float64, seed int64) (*CoverageResult, error) {
-	return call[*CoverageResult](spec.KindCoverage, &service.Invocation{
-		Env:      service.DirectEnv(g),
-		Task:     spec.TaskSpec{Beta: beta, Seed: seed, Coverage: &spec.CoverageSpec{Engine: true}},
-		Instance: inst,
-	})
-}
-
 // GraphLocalMixingResult reports the graph-wide local mixing time
 // τ(β,ε) = max_v τ_v(β,ε).
 type GraphLocalMixingResult = exact.GraphLocalResult

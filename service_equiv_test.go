@@ -102,9 +102,6 @@ func TestServiceRunMatchesFacadeEveryKind(t *testing.T) {
 		{"spread-congest",
 			spec.TaskSpec{Kind: spec.KindSpread, Transport: "congest", Beta: beta, Seed: seed},
 			func() (any, error) { return PushPullCongest(g, SpreadConfig{Beta: beta, Seed: seed}) }},
-		{"spread-engine",
-			spec.TaskSpec{Kind: spec.KindSpread, Transport: "engine", Beta: beta, Seed: seed},
-			func() (any, error) { return PushPullEngine(g, SpreadConfig{Beta: beta, Seed: seed}) }},
 		{"leader",
 			spec.TaskSpec{Kind: spec.KindLeader, Seed: seed},
 			func() (any, error) {
@@ -120,16 +117,6 @@ func TestServiceRunMatchesFacadeEveryKind(t *testing.T) {
 					return nil, err
 				}
 				return DistributedMaxCoverage(g, inst, beta, seed)
-			}},
-		{"coverage-engine",
-			spec.TaskSpec{Kind: spec.KindCoverage, Beta: beta, Seed: seed,
-				Coverage: &spec.CoverageSpec{Universe: 50, PerNode: 4, K: 3, Seed: 9, Engine: true}},
-			func() (any, error) {
-				inst, err := RandomCoverageInstance(g.N(), 50, 4, 3, NewRand(9))
-				if err != nil {
-					return nil, err
-				}
-				return DistributedMaxCoverageEngine(g, inst, beta, seed)
 			}},
 	}
 
