@@ -53,9 +53,12 @@ func closeLinks(links []*meshLink) {
 // higher-indexed one (identified by theirs). Dials succeed as soon as the
 // remote listener exists — the TCP handshake does not wait for Accept — so
 // the sequential dial-then-accept order cannot deadlock across peers.
-// Canceling ctx (the job was aborted) fails a pending dial or accept. The
-// job's listener is closed on return either way, so a peer that dialed in
-// while this one failed is reset instead of left waiting for a frame.
+// Accepting and reading a preamble share one meshSetupBudget deadline.
+// Canceling ctx (the job was aborted) fails a pending dial, accept or
+// preamble read at once. The job's listener is closed on return either
+// way, so a peer that dialed in while this one failed is reset instead of
+// left waiting for a frame. Errors do not name this peer: the coordinator
+// attributes them.
 func setupMesh(ctx context.Context, self int, addrs []string, ln net.Listener) ([]*meshLink, error) {
 	links := make([]*meshLink, len(addrs))
 	fail := func(err error) ([]*meshLink, error) {
@@ -69,36 +72,56 @@ func setupMesh(ctx context.Context, self int, addrs []string, ln net.Listener) (
 	for q := 0; q < self; q++ {
 		conn, err := d.DialContext(ctx, "tcp", addrs[q])
 		if err != nil {
-			return fail(fmt.Errorf("cluster: peer %d: dial mesh peer %d at %s: %w", self, q, addrs[q], err))
+			return fail(fmt.Errorf("dial mesh peer %d at %s: %w", q, addrs[q], err))
 		}
 		conn = wrapConn(conn)
 		if err := writeMeshPreamble(conn, self); err != nil {
 			conn.Close()
-			return fail(fmt.Errorf("cluster: peer %d: mesh preamble to peer %d: %w", self, q, err))
+			return fail(fmt.Errorf("mesh preamble to peer %d: %w", q, err))
 		}
 		links[q] = newMeshLink(conn)
 	}
+	deadline := time.Now().Add(meshSetupBudget)
 	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(time.Now().Add(meshSetupBudget))
+		tl.SetDeadline(deadline)
 	}
 	for q := self + 1; q < len(addrs); q++ {
 		conn, err := ln.Accept()
 		if err != nil {
-			return fail(fmt.Errorf("cluster: peer %d: accept mesh connection: %w", self, err))
+			return fail(fmt.Errorf("accept mesh connection: %w", err))
 		}
 		conn = wrapConn(conn)
-		id, err := readMeshPreamble(conn)
+		id, err := readAcceptedPreamble(ctx, conn, deadline)
 		if err != nil {
 			conn.Close()
-			return fail(fmt.Errorf("cluster: peer %d: read mesh preamble: %w", self, err))
+			return fail(fmt.Errorf("read mesh preamble: %w", err))
 		}
 		if id <= self || id >= len(addrs) || links[id] != nil {
 			conn.Close()
-			return fail(fmt.Errorf("cluster: peer %d: unexpected mesh preamble id %d", self, id))
+			return fail(fmt.Errorf("unexpected mesh preamble id %d", id))
 		}
 		links[id] = newMeshLink(conn)
 	}
 	return links, nil
+}
+
+// readAcceptedPreamble reads an accepted connection's preamble by the
+// setup deadline. Canceling ctx closes the connection, which fails the read
+// at once; a dialer that connects and never writes cannot hold the job.
+func readAcceptedPreamble(ctx context.Context, conn net.Conn, deadline time.Time) (int, error) {
+	if err := conn.SetReadDeadline(deadline); err != nil {
+		return 0, err
+	}
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	id, err := readMeshPreamble(conn)
+	if !stop() {
+		return 0, context.Cause(ctx)
+	}
+	if err != nil {
+		return 0, err
+	}
+	// The data plane reads without a deadline: rounds may be slow.
+	return id, conn.SetReadDeadline(time.Time{})
 }
 
 // inFrame is one decoded inbound frame, handed from a link's reader

@@ -128,7 +128,13 @@ func (wireTransport) deliver(n *Network, rep roundReport) (roundReport, error) {
 		n.stats.WireBytes += int64(frame.OverheadBytes + min(len(hdr.Err), frame.MaxErrBytes) + frame.RecordBytes*len(n.wireOut[p]))
 	}
 	n.stats.FramesRecv += int64(cl.Peers - 1)
-	n.runPhase(phaseDeliver)
+	// The drain's work is this peer's outbound sends (its local matrix and
+	// wire batches) plus the inbound records it scans.
+	work := rep.sent
+	for _, recs := range in {
+		work += int64(len(recs))
+	}
+	n.runPhase(phaseDeliver, work)
 	return g, nil
 }
 

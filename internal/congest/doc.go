@@ -5,11 +5,15 @@
 // Execution proceeds in globally synchronous rounds. In round r every
 // non-halted node is stepped exactly once; it sees the messages its
 // neighbors sent during round r−1 and may send messages to neighbors, which
-// arrive at the start of round r+1. Nodes are stepped concurrently by a pool
-// of worker goroutines — each node's Step runs on some goroutine with
-// exclusive access to that node's state, mirroring the "one processor per
-// vertex" model — and the engine is deterministic for a fixed seed
-// regardless of the worker count.
+// arrive at the start of round r+1. Nodes are split into W shards, one per
+// worker (a single shard when the run owns fewer than 64 nodes). The
+// calling goroutine runs shard 0 and a pool of W−1 goroutines runs the
+// rest; a phase with too little work to repay waking the pool (fewer than
+// inlineWork nodes stepped plus messages moved) runs all shards inline on
+// the caller. Each node's Step runs on one goroutine with exclusive access
+// to that node's state, mirroring the "one processor per vertex" model,
+// and the engine is deterministic for a fixed seed regardless of the
+// worker count or of which phases ran inline.
 //
 // The engine *enforces* the CONGEST bandwidth constraint: the total size of
 // the messages a node sends over one directed edge in one round must not
@@ -26,15 +30,16 @@
 // nodes. The design:
 //
 //   - Sharding. The node set is split into W contiguous shards, one per
-//     worker. A shard owns its nodes' Contexts exclusively: it steps them,
+//     worker. Who executes a shard changes from phase to phase; the shard
+//     structure does not. A shard owns its nodes' Contexts exclusively: it steps them,
 //     delivers into their inboxes, and maintains their liveness, so no lock
 //     is ever taken on per-node state.
 //
 //   - Sharded mailboxes. Each shard keeps one flat outbox buffer per
 //     destination shard (a W×W matrix of []pend slices). Send appends the
 //     message to out[owner(to)]; buffers are truncated, never freed, so the
-//     steady state allocates nothing. The deliver phase runs one worker per
-//     destination shard: shard s drains out[w][s] for w = 0..W-1 in order.
+//     steady state allocates nothing. The deliver phase runs each
+//     destination shard as one unit: shard s drains out[w][s] for w = 0..W-1 in order.
 //     Because shards are contiguous id ranges and every shard steps its
 //     nodes in ascending id order, this drain order reproduces exactly the
 //     canonical "ascending sender id, then send order" inbox ordering — for

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"repro/internal/congest/frame"
@@ -17,10 +18,17 @@ const (
 	// maxShards bounds the W×W mailbox matrix; beyond this, extra workers
 	// stop paying for themselves anyway.
 	maxShards = 256
-	// parallelMin is the network size below which the engine executes its
-	// shards on one goroutine (the shard structure — and therefore the
-	// result — is identical either way).
+	// parallelMin is the owned range below which a run uses one shard and
+	// no pool: no round of so few nodes can repay a hand-off. Results do not
+	// depend on the shard count.
 	parallelMin = 64
+	// inlineWork is the phase work (nodes stepped plus messages moved)
+	// below which a pooled run executes the phase on the calling goroutine
+	// alone. A hand-off wakes W−1 parked pool goroutines and waits for
+	// them. BenchmarkPhaseHandoff measured 3.1–3.6 µs for that against
+	// 39–43 ns per unit of work on a 2-vCPU VM, so two workers break even
+	// near 2·3.3 µs / 41 ns ≈ 160 units.
+	inlineWork = 160
 
 	// noWake is the minWake identity: the value a round report carries when
 	// no stepped-over sleeper exists. Folding reports takes the minimum, so
@@ -100,29 +108,35 @@ func (sh *shard) runStep() {
 	sh.live = sh.live[:w]
 }
 
-// workerPool keeps one goroutine per shard alive for the whole run; phases
-// are broadcast over per-worker channels, so the steady-state round loop
+// run executes one phase of this shard.
+func (sh *shard) run(ph int8) {
+	if ph == phaseStep {
+		sh.runStep()
+	} else {
+		sh.runDeliver()
+	}
+}
+
+// workerPool keeps one goroutine for each shard but the first alive for
+// the whole run; the calling goroutine runs shard 0 itself. Phases are
+// broadcast over per-worker channels, so the steady-state round loop
 // performs no goroutine spawns.
 type workerPool struct {
-	start []chan int8
+	start []chan int8 // start[i] drives shard i+1
 	wg    sync.WaitGroup
 }
 
 func (n *Network) startPool() {
-	p := &workerPool{start: make([]chan int8, len(n.shards))}
-	for w := range p.start {
+	p := &workerPool{start: make([]chan int8, len(n.shards)-1)}
+	for i := range p.start {
 		ch := make(chan int8, 1)
-		p.start[w] = ch
+		p.start[i] = ch
 		go func(sh *shard) {
 			for ph := range ch {
-				if ph == phaseStep {
-					sh.runStep()
-				} else {
-					sh.runDeliver()
-				}
+				sh.run(ph)
 				p.wg.Done()
 			}
-		}(&n.shards[w])
+		}(&n.shards[i+1])
 	}
 	n.pool = p
 }
@@ -133,24 +147,28 @@ func (p *workerPool) stop() {
 	}
 }
 
-// runPhase executes one phase across all shards, in parallel when a pool is
-// running. Shard state is identical either way, so results never depend on
-// the execution mode.
-func (n *Network) runPhase(ph int8) {
-	if n.pool == nil {
+// runPhase executes one phase across all shards: on the pool, with the
+// caller running shard 0, when the run has one and work reaches
+// inlineWork; otherwise shard by shard on the caller. Shard state is
+// identical either way, so results never depend on the execution mode.
+func (n *Network) runPhase(ph int8, work int64) {
+	if n.pool == nil || work < inlineWork {
+		n.inlinePhases++
 		for i := range n.shards {
-			if ph == phaseStep {
-				n.shards[i].runStep()
-			} else {
-				n.shards[i].runDeliver()
-			}
+			n.shards[i].run(ph)
 		}
 		return
 	}
-	n.pool.wg.Add(len(n.shards))
+	n.pooledPhases++
+	n.pool.wg.Add(len(n.pool.start))
 	for _, ch := range n.pool.start {
 		ch <- ph
 	}
+	// A goroutine woken by a channel send lands in this processor's
+	// run-next slot, which an idle processor steals only after a delay.
+	// Yielding starts it here at once; the caller resumes elsewhere.
+	runtime.Gosched()
+	n.shards[0].run(ph)
 	n.pool.wg.Wait()
 }
 
@@ -256,14 +274,8 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 		lo, hi = graph.ShardRange(nn, cl.Peer, cl.Peers)
 	}
 	local := hi - lo
-	nw := n.cfg.Workers
-	if nw > local {
-		nw = local
-	}
-	if nw > maxShards {
-		nw = maxShards
-	}
-	if nw < 1 {
+	nw := min(n.cfg.Workers, local, maxShards)
+	if nw < 1 || local < parallelMin {
 		nw = 1
 	}
 	if n.ctxs == nil {
@@ -350,7 +362,7 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 		}
 		n.procs[u] = newProc(u)
 	}
-	if nw > 1 && local >= parallelMin {
+	if len(n.shards) > 1 {
 		n.startPool()
 		defer func() {
 			n.pool.stop()
@@ -382,6 +394,9 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 	}
 
 	halted := 0
+	// stepWork predicts the next step phase's work from the last report;
+	// round 1 may step every owned node.
+	stepWork := int64(local)
 	for {
 		// Close the round: deliver its messages and settle its global
 		// report — the local report on loopback, the fold of every peer's
@@ -432,8 +447,9 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 			// frozen for the whole round.
 			n.cfg.Topology.ApplyRound(n.round, &n.topo)
 		}
-		n.runPhase(phaseStep)
+		n.runPhase(phaseStep, stepWork)
 		rep = n.mergeStep()
+		stepWork = rep.stepped + rep.sent
 	}
 	st := n.finalize()
 	st.HaltedAll = true

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -43,7 +44,7 @@ func (p *mixProc) Step(ctx *Context) {
 // Workers ∈ {1, 2, GOMAXPROCS} and demands identical per-node traces and
 // identical engine statistics — the engine's core invariant.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	g := torusGraph(12) // n = 144 ≥ parallelMin, so multi-worker runs use the pool
+	g := torusGraph(12) // n = 144 ≥ parallelMin: multi-worker runs have several shards
 	run := func(workers int) ([]*mixProc, *Stats) {
 		net, err := NewNetwork(g, Config{Workers: workers, Seed: 42})
 		if err != nil {
@@ -83,6 +84,84 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		b.StepGrows, b.DeliverGrows = 0, 0
 		if a != b {
 			t.Errorf("workers=%d: stats %+v, want %+v", workers, a, b)
+		}
+	}
+}
+
+// waveProc floods a wave out of node 0: a node joins on its first message,
+// broadcasts RNG-derived values for three rounds, then halts. Round work
+// rises as the wave front grows and falls as it passes, so a pooled run
+// crosses inlineWork in both directions.
+type waveProc struct {
+	joined int
+	trace  []int64
+}
+
+func (p *waveProc) Init(ctx *Context) {
+	if ctx.ID() == 0 {
+		p.joined = 0
+		ctx.Broadcast(Message{Kind: 1, Value: ctx.Rand().Int63n(1000), Bits: 32})
+		return
+	}
+	p.joined = -1
+	ctx.Sleep(1 << 20)
+}
+
+func (p *waveProc) Step(ctx *Context) {
+	var acc int64
+	for _, m := range ctx.Inbox() {
+		acc = acc*1000003 + m.Value + int64(m.From) + int64(m.Round)
+	}
+	p.trace = append(p.trace, acc)
+	if p.joined < 0 {
+		p.joined = ctx.Round()
+	}
+	if ctx.Round()-p.joined >= 3 {
+		ctx.Halt()
+		return
+	}
+	ctx.Broadcast(Message{Kind: 1, Value: ctx.Rand().Int63n(1000), Bits: 32})
+}
+
+// TestDeterminismAcrossExecutionBranches: the same run must not depend on
+// which rounds ran inline on the caller and which on the pool. At two or
+// more workers the wave takes both branches; traces and simulation stats
+// must equal the single-worker run's.
+func TestDeterminismAcrossExecutionBranches(t *testing.T) {
+	g := torusGraph(24) // n = 576 ≥ parallelMin
+	run := func(workers int) ([]*waveProc, Stats, *Network) {
+		net, err := NewNetwork(g, Config{Workers: workers, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs := make([]*waveProc, g.N())
+		st, err := net.Run(func(id int) Process {
+			procs[id] = &waveProc{}
+			return procs[id]
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.HaltedAll {
+			t.Fatalf("workers=%d: the wave did not reach every node", workers)
+		}
+		// The grow counters describe buffer warm-up, not the simulation.
+		st.StepGrows, st.DeliverGrows = 0, 0
+		return procs, *st, net
+	}
+	refProcs, refStats, _ := run(1)
+	for _, workers := range []int{2, runtime.GOMAXPROCS(0), 4} {
+		procs, st, net := run(workers)
+		if !reflect.DeepEqual(procs, refProcs) {
+			t.Errorf("workers=%d: node traces diverged from the single-worker run", workers)
+		}
+		if st != refStats {
+			t.Errorf("workers=%d: stats %+v, want %+v", workers, st, refStats)
+		}
+		t.Logf("workers=%d: %d inline, %d pooled phases over %d rounds", workers, net.inlinePhases, net.pooledPhases, st.Rounds)
+		if net.inlinePhases == 0 || net.pooledPhases == 0 {
+			t.Errorf("workers=%d: %d inline and %d pooled phases, want both branches taken",
+				workers, net.inlinePhases, net.pooledPhases)
 		}
 	}
 }

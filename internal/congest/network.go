@@ -79,6 +79,10 @@ type Network struct {
 	wireIn  [][]frame.Record
 
 	stats Stats
+
+	// inlinePhases and pooledPhases count the phases runPhase executed on
+	// the caller alone and on the pool, over the network's lifetime.
+	inlinePhases, pooledPhases int64
 }
 
 // NewNetwork prepares a simulation of the given graph. The graph must be

@@ -22,20 +22,21 @@ type transport interface {
 	// deliver moves every message queued in the current round into its
 	// destination inbox and returns the round's global report: rep itself
 	// on loopback, the fold of every peer's report in cluster mode. All
-	// shard workers are quiescent when it is called; it may use the worker
-	// pool for the local drain. A non-nil error aborts the run (transport
+	// shard workers are quiescent when it is called; it runs the local
+	// drain through runPhase. A non-nil error aborts the run (transport
 	// failures are fatal: a peer cannot continue a lockstep computation
 	// alone).
 	deliver(n *Network, rep roundReport) (roundReport, error)
 }
 
-// loopbackTransport is the single-process deliver phase: the parallel drain
-// of the sharded mailbox matrix. It moves no bytes and sends no frames —
-// Stats.WireBytes/FramesSent/FramesRecv stay zero.
+// loopbackTransport is the single-process deliver phase: the drain of the
+// sharded mailbox matrix, whose work is the round's sent messages. It moves
+// no bytes and sends no frames — Stats.WireBytes/FramesSent/FramesRecv stay
+// zero.
 type loopbackTransport struct{}
 
 func (loopbackTransport) deliver(n *Network, rep roundReport) (roundReport, error) {
-	n.runPhase(phaseDeliver)
+	n.runPhase(phaseDeliver, rep.sent)
 	return rep, nil
 }
 

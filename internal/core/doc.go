@@ -19,6 +19,17 @@
 // decision, exactly as in the paper where s collects the R smallest
 // differences via distributed binary search over the BFS tree.
 //
+// A responder acts on its own at two timed events only: its census join
+// deadline, while its children list is open, and each round of its
+// flooding window while it holds mass. Everything else — joining the tree,
+// census reports, SETR/QUERY/CHECK aggregations, STOP — reacts to a
+// message. So every responder step ends with congest.Context.Sleep until
+// its next timed event, and message arrival wakes it earlier. Handlers draw
+// randomness only on arrival, so the skipped steps would have changed
+// nothing: results, rounds and messages are those of stepping every node
+// every round, while Stats.ActiveSteps follows events instead of
+// node-rounds. The driver never sleeps.
+//
 // # Dynamic networks
 //
 // With a congest.TopologyProvider attached (Config.Engine.Topology,

@@ -48,9 +48,32 @@ func newNode(sh *shared) *node {
 // Init implements congest.Process.
 func (nd *node) Init(ctx *congest.Context) {}
 
-// Step implements congest.Process.
+// idleSleep parks a process with no timed event; message arrival wakes it.
+const idleSleep = 1 << 28
+
+// Step implements congest.Process: the round's work, then a sleep until the
+// responder's next timed event.
 func (nd *node) Step(ctx *congest.Context) {
 	nd.processRound(ctx)
+	nd.sleepUntilEvent(ctx)
+}
+
+// sleepUntilEvent parks the responder until its next timed event: the
+// census join deadline while its children list is open, or the next round
+// of its flood window while it holds mass. Everything else it does reacts
+// to a message, and arrival wakes a sleeper. Handlers draw randomness only
+// on arrival, so the skipped steps would have changed nothing. The driver
+// never sleeps: it polls its own state every round.
+func (nd *node) sleepUntilEvent(ctx *congest.Context) {
+	r := ctx.Round()
+	wake := r + idleSleep
+	if d, ok := nd.tree.Deadline(); ok {
+		wake = min(wake, d)
+	}
+	if nd.w != 0 && r+1 < nd.f0+nd.flen {
+		wake = min(wake, max(r+1, nd.f0))
+	}
+	ctx.Sleep(wake - r)
 }
 
 // processRound runs the responder logic for one round: ingest the inbox,

@@ -53,9 +53,6 @@ const (
 	kindAbort                       // retry-budget-exhaustion flood: Aux = cumulative bounces
 )
 
-// tokenIdleSleep parks non-holders; message arrival wakes them.
-const tokenIdleSleep = 1 << 28
-
 // ErrRetryBudget is returned by TokenWalk when the cumulative edge-loss
 // retries exceed Config.RetryBudget: the dynamic adversary (or crash
 // schedule) defeated the walk within the allotted patience.
@@ -122,11 +119,11 @@ func (p *tokenProc) Step(ctx *congest.Context) {
 	if p.awaiting {
 		// No bounce: last round's hop was delivered; go idle.
 		p.awaiting = false
-		ctx.Sleep(tokenIdleSleep)
+		ctx.Sleep(idleSleep)
 		return
 	}
 	if !p.holder {
-		ctx.Sleep(tokenIdleSleep)
+		ctx.Sleep(idleSleep)
 		return
 	}
 	p.act(ctx)

@@ -245,6 +245,17 @@ func (t *Tree) Advance(ctx *congest.Context, sz Sizes) {
 	})
 }
 
+// Deadline returns the round at which Advance next acts on its own — the
+// join deadline that closes the children list — and false when the census
+// waits only on messages (children's reports) or is finished. A responder
+// that sleeps until this round misses no census step.
+func (t *Tree) Deadline() (int, bool) {
+	if !t.InTree || t.censusSent || t.childrenFinal {
+		return 0, false
+	}
+	return t.joinDeadline, true
+}
+
 // Agg tracks one reactive convergecast (SETR→MINMAX, QUERY→REPLY or
 // CHECK→CHECKREPLY). The node opens an Agg when the request arrives from its
 // parent (or, at the root, when the driver issues it), merges its own
