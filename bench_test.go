@@ -150,7 +150,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var rounds, msgs int64
 			for i := 0; i < b.N; i++ {
-				// Network construction (slot hash, arenas) is setup, not
+				// Network construction (bandwidth slots, arenas) is setup, not
 				// the round loop this benchmark tracks.
 				b.StopTimer()
 				net, err := congest.NewNetwork(g, congest.Config{Workers: workers, MaxRounds: horizon + 4})

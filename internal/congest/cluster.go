@@ -153,7 +153,8 @@ func (sh *shard) runDeliverWire() {
 			sh.drainLocal()
 			continue
 		}
-		for _, r := range net.wireIn[p] {
+		for i := range net.wireIn[p] {
+			r := &net.wireIn[p][i]
 			if r.To < sh.lo || r.To >= sh.hi {
 				continue
 			}
@@ -163,18 +164,14 @@ func (sh *shard) runDeliverWire() {
 			if dst.halted {
 				continue
 			}
-			m := Message{
-				From: r.From, Round: rnd,
-				Kind: r.Kind, Flags: r.Flags, Seq: r.Seq,
-				Value: r.Value, Aux: r.Aux, Bits: r.Bits,
-			}
 			if dst.sleep > rnd && len(dst.inbox) == 0 {
 				sh.wakes++
 			}
-			if len(dst.inbox) == cap(dst.inbox) {
-				sh.deliverGrows++
-			}
-			dst.inbox = append(dst.inbox, m)
+			var m *Message
+			dst.inbox, m = extend(dst.inbox, &sh.deliverGrows)
+			m.From, m.Round = r.From, rnd
+			m.Kind, m.Flags, m.Seq = r.Kind, r.Flags, r.Seq
+			m.Value, m.Aux, m.Bits = r.Value, r.Aux, r.Bits
 		}
 	}
 }

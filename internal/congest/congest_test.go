@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -167,23 +168,65 @@ func TestBandwidthAccumulates(t *testing.T) {
 	}
 }
 
-// badSender sends to a non-neighbor.
-type badSender struct{ id int }
+// idSender sends one message from node 0 to `to` in round 1; every node
+// logs what it receives. Send must reject a destination outside [0, N())
+// before narrowing it to a vertex id, or 1<<32+1 would reach vertex 1.
+type idSender struct {
+	id, to int
+	got    []Message
+}
 
-func (b badSender) Init(ctx *Context) {}
-func (b badSender) Step(ctx *Context) {
-	if b.id == 0 {
-		ctx.Send(2, Message{Kind: 1, Bits: 8}) // 0 and 2 are not adjacent on a path
+func (s *idSender) Init(ctx *Context) {}
+func (s *idSender) Step(ctx *Context) {
+	s.got = append(s.got, ctx.Inbox()...)
+	if s.id == 0 && ctx.Round() == 1 {
+		ctx.Send(s.to, Message{Kind: 1, Bits: 8})
 	}
-	ctx.Halt()
+	if ctx.Round() >= 2 {
+		ctx.Halt()
+	}
 }
 
 func TestNonNeighborSendRejected(t *testing.T) {
-	net, _ := NewNetwork(pathGraph(3), Config{})
-	_, err := net.Run(func(id int) Process { return badSender{id} })
-	var se *SendError
-	if !errors.As(err, &se) {
-		t.Fatalf("got %v, want SendError", err)
+	cycle8, err := gen.Cycle(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		to   int64
+	}{
+		{"path non-neighbor", pathGraph(3), 2},
+		{"id aliasing neighbor 1 in 32 bits", cycle8, 1<<32 + 1},
+		{"negative id", cycle8, -1},
+		{"id N", cycle8, 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			to := int(tc.to)
+			if int64(to) != tc.to {
+				t.Skip("id does not fit this platform's int")
+			}
+			net, err := NewNetwork(tc.g, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			procs := make([]*idSender, tc.g.N())
+			_, err = net.Run(func(id int) Process {
+				procs[id] = &idSender{id: id, to: to}
+				return procs[id]
+			})
+			var se *SendError
+			if !errors.As(err, &se) || se.To != to || se.Reason != "not a neighbor" {
+				t.Fatalf("got %v, want a not-a-neighbor SendError to %d", err, to)
+			}
+			for _, p := range procs {
+				if len(p.got) != 0 {
+					t.Errorf("node %d received %+v", p.id, p.got)
+				}
+			}
+		})
 	}
 }
 

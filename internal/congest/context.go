@@ -39,8 +39,8 @@ func (c *Context) Degree() int { return c.net.g.Degree(int(c.id)) }
 func (c *Context) Neighbors() []int32 { return c.net.g.Neighbors(int(c.id)) }
 
 // Inbox returns the messages delivered to this node since it was last
-// stepped, ordered by (round, sender). The slice is reused; copy anything
-// retained across rounds.
+// stepped, ordered by (round, sender, send order). The slice is reused;
+// copy anything retained across rounds.
 func (c *Context) Inbox() []Message { return c.inbox }
 
 // Dynamic reports whether the network runs under a topology provider. On
@@ -58,7 +58,7 @@ func (c *Context) EdgeActive(i int) bool {
 	if c.net.active == nil {
 		return true
 	}
-	return c.net.active[c.net.rowOff[c.id]+int32(i)]
+	return c.net.active[c.net.off[c.id]+int32(i)]
 }
 
 // ActiveDegree returns this node's number of active incident edges in the
@@ -90,70 +90,100 @@ func (c *Context) Publish(v int64) {
 
 // Send queues a message to neighbor `to` for delivery next round. The engine
 // fills From. Sends to non-neighbors or with non-positive Bits abort the
-// run. The neighbor lookup is O(1) via the precomputed edge-slot index; when
-// the caller already knows the neighbor's adjacency-row position, SendNbr
-// avoids even that.
+// run. The neighbor is found by binary search of this node's sorted
+// adjacency row; when the caller already knows the neighbor's row position,
+// SendNbr skips the search.
 func (c *Context) Send(to int, m Message) {
 	if c.err != nil {
 		return
 	}
-	slot := c.net.slots.lookup(c.id, int32(to))
+	slot := int32(-1)
+	if to >= 0 && to < c.N() {
+		slot = c.net.slot(c.id, int32(to))
+	}
 	if slot < 0 {
 		c.err = &SendError{From: int(c.id), To: to, Round: c.net.round, Reason: "not a neighbor"}
 		return
 	}
-	c.deposit(slot, int32(to), m)
+	if c.checkBits(int32(to), m.Bits) {
+		c.deposit(slot, int32(to), m)
+	}
 }
 
 // SendNbr queues a message to the i-th neighbor (the position in
 // Neighbors()). It is the cheapest send: no lookup at all, just the CSR
-// slot arithmetic. Broadcast and loops over Neighbors() should prefer it.
+// slot arithmetic. Loops over Neighbors() should prefer it.
 func (c *Context) SendNbr(i int, m Message) {
 	if c.err != nil {
 		return
 	}
-	row := c.net.g.Neighbors(int(c.id))
+	row := c.Neighbors()
 	if i < 0 || i >= len(row) {
 		c.err = &SendError{From: int(c.id), To: -1, Round: c.net.round, Reason: "neighbor index out of range"}
 		return
 	}
-	c.deposit(c.net.rowOff[c.id]+int32(i), row[i], m)
+	if c.checkBits(row[i], m.Bits) {
+		c.deposit(c.net.off[c.id]+int32(i), row[i], m)
+	}
+}
+
+// Broadcast sends the same message to every neighbor, in row order. The
+// message is validated once; a bandwidth violation stops the loop at the
+// offending neighbor, as it would stop a loop of SendNbr calls.
+func (c *Context) Broadcast(m Message) {
+	row := c.Neighbors()
+	if c.err != nil || len(row) == 0 || !c.checkBits(row[0], m.Bits) {
+		return
+	}
+	lo := c.net.off[c.id]
+	for i, v := range row {
+		c.deposit(lo+int32(i), v, m)
+		if c.err != nil {
+			return
+		}
+	}
+}
+
+// checkBits reports whether a send of the given size is legal, recording
+// the abort error when it is not.
+func (c *Context) checkBits(to, bits int32) bool {
+	if bits <= 0 {
+		c.err = &SendError{From: int(c.id), To: int(to), Round: c.net.round, Reason: "non-positive Bits"}
+		return false
+	}
+	return true
 }
 
 // deposit routes a validated message into the sharded mailbox of the
-// destination's owner. Volatile messages aimed at an inactive edge of a
-// dynamic network are bounced instead: redirected into the sender's own
-// mailbox column with FlagBounced set and From naming the unreachable
-// neighbor, arriving next round like any other message. The bounce is the
-// link-layer failure notification of the dynamic model — no bandwidth is
-// charged because nothing traversed the edge — and it is what lets
-// walk-token protocols detect edge loss and restart the hop.
+// destination's owner, writing the outbox entry in place. Volatile messages
+// aimed at an inactive edge of a dynamic network are bounced instead:
+// redirected into the sender's own mailbox column with FlagBounced set and
+// From naming the unreachable neighbor, arriving next round like any other
+// message. The bounce is the link-layer failure notification of the dynamic
+// model — no bandwidth is charged because nothing traversed the edge — and
+// it is what lets walk-token protocols detect edge loss and restart the
+// hop.
 func (c *Context) deposit(slot, to int32, m Message) {
-	if m.Bits <= 0 {
-		c.err = &SendError{From: int(c.id), To: int(to), Round: c.net.round, Reason: "non-positive Bits"}
-		return
-	}
+	sh := c.sh
 	if c.net.active != nil && m.Flags&FlagVolatile != 0 && !c.net.active[slot] {
-		c.sh.drops++
-		m.From = to
-		m.Flags |= FlagBounced
+		sh.drops++
 		s := c.net.owner[c.id]
-		buf := c.sh.out[s]
-		if len(buf) == cap(buf) {
-			c.sh.stepGrows++
-		}
-		c.sh.out[s] = append(buf, pend{to: c.id, msg: m})
+		var p *pend
+		sh.out[s], p = extend(sh.out[s], &sh.stepGrows)
+		p.to = c.id
+		p.msg = m
+		p.msg.From = to
+		p.msg.Flags |= FlagBounced
 		return
 	}
 	used := c.net.chargeEdge(slot, m.Bits)
-	if used > c.sh.maxEdgeBits {
-		c.sh.maxEdgeBits = used
+	if used > sh.maxEdgeBits {
+		sh.maxEdgeBits = used
 	}
 	if used > c.net.bandwidth {
 		c.err = &BandwidthError{From: int(c.id), To: int(to), Round: c.net.round, Used: used, Limit: c.net.bandwidth}
 		return
 	}
-	m.From = c.id
 	s := c.net.owner[to]
 	if s < 0 {
 		// Cluster mode: the destination lives on peer -1-s. Queue the wire
@@ -161,30 +191,33 @@ func (c *Context) deposit(slot, to int32, m Message) {
 		// shard outboxes into one frame per peer at the round boundary. The
 		// bandwidth charge already happened above — the sender owns the
 		// directed edge's accounting regardless of where the receiver runs.
-		p := -1 - s
-		buf := c.sh.wireOut[p]
-		if len(buf) == cap(buf) {
-			c.sh.stepGrows++
-		}
-		c.sh.wireOut[p] = append(buf, frame.Record{
-			To: to, From: c.id, Seq: m.Seq,
-			Value: m.Value, Aux: m.Aux, Bits: m.Bits,
-			Kind: m.Kind, Flags: m.Flags,
-		})
+		var r *frame.Record
+		sh.wireOut[-1-s], r = extend(sh.wireOut[-1-s], &sh.stepGrows)
+		r.To, r.From, r.Seq = to, c.id, m.Seq
+		r.Value, r.Aux, r.Bits = m.Value, m.Aux, m.Bits
+		r.Kind, r.Flags = m.Kind, m.Flags
 		return
 	}
-	buf := c.sh.out[s]
-	if len(buf) == cap(buf) {
-		c.sh.stepGrows++
-	}
-	c.sh.out[s] = append(buf, pend{to: to, msg: m})
+	var p *pend
+	sh.out[s], p = extend(sh.out[s], &sh.stepGrows)
+	p.to = to
+	p.msg = m
+	p.msg.From = c.id
 }
 
-// Broadcast sends the same message to every neighbor.
-func (c *Context) Broadcast(m Message) {
-	for i := range c.Neighbors() {
-		c.SendNbr(i, m)
+// extend lengthens buf by one element and returns it with a pointer to the
+// new element, whose previous contents the caller must overwrite. A growth
+// of the backing array is counted in *grows.
+func extend[T any](buf []T, grows *int64) ([]T, *T) {
+	n := len(buf)
+	if n == cap(buf) {
+		*grows++
+		var zero T
+		buf = append(buf, zero)
+	} else {
+		buf = buf[:n+1]
 	}
+	return buf, &buf[n]
 }
 
 // Halt marks this node as permanently finished. The run ends when every

@@ -46,12 +46,15 @@
 //     every worker count, which is what makes the engine deterministic
 //     under parallelism.
 //
-//   - O(1) sends. NewNetwork precomputes a directed-edge slot index (an
-//     open-addressed hash from the pair (u,v) to the CSR slot of u→v), so
-//     Send performs no binary search; SendNbr addresses a neighbor by its
-//     adjacency-row position and needs no lookup at all. The same CSR slot
-//     indexes the per-directed-edge bandwidth accounting arrays, which only
-//     the sending shard writes.
+//   - CSR edge slots. The directed edge u→v is named by its position in
+//     the graph's own CSR arrays, so the engine builds no edge index of its
+//     own. Send finds the slot by binary search of u's sorted adjacency
+//     row (O(log deg)); SendNbr and Broadcast address neighbors by row
+//     position and search nothing. The same slot indexes the
+//     per-directed-edge bandwidth accounting arrays, which only the
+//     sending shard writes. Each message is written once into its outbox
+//     entry and copied once into the receiver's inbox; the engine stamps
+//     From and Round in place.
 //
 //   - Liveness tracking. Each shard keeps a compact ascending list of its
 //     live (non-halted) nodes, compacted in place as nodes halt, plus a
@@ -75,7 +78,7 @@
 // sender as a link-layer loss notification — while plain messages ride the
 // superset unconditionally, serving as the out-of-band control plane of the
 // dynamic algorithms in internal/core. Because the overlay is sized for the
-// superset at construction (activity array, slot hash, mailboxes), churn
+// superset at construction (activity array, bandwidth slots, mailboxes), churn
 // never allocates: the zero-allocation steady state holds with edges
 // toggling every round. Dynamic runs disable fast-forwarding (the provider
 // must observe every round) and remain deterministic for every worker

@@ -60,6 +60,9 @@ func TestTopologyView(t *testing.T) {
 				if tp.EdgeOn(0, 1) || !tp.EdgeOn(1, 2) {
 					t.Error("round 2: EdgeOn disagrees with SetEdge")
 				}
+				if tp.EdgeOn(0, 2) || tp.EdgeOn(2, 3) || tp.EdgeOn(-1, 0) {
+					t.Error("round 2: EdgeOn reports a pair outside the superset")
+				}
 				if tp.ActiveDegree(1) != 1 || tp.ActiveEdges() != 1 {
 					t.Errorf("round 2: ActiveDegree(1)=%d ActiveEdges=%d, want 1, 1", tp.ActiveDegree(1), tp.ActiveEdges())
 				}

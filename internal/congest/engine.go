@@ -326,12 +326,10 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 		n.rngs = make([]rand.Rand, nn)
 		const inboxArenaCap = 1 << 20 // Message slots (~40 MB) — covers every bench-scale graph
 		// Sized by the materialized rows (2·M full, ~1/P on a graph shard).
-		if slots := int(n.rowOff[nn]); slots <= inboxArenaCap {
+		if slots := len(n.adj); slots <= inboxArenaCap {
 			n.inboxArena = make([]Message, slots)
-		}
-		for u := 0; u < nn; u++ {
-			if n.inboxArena != nil {
-				lo, hi := n.rowOff[u], n.rowOff[u+1]
+			for u := 0; u < nn; u++ {
+				lo, hi := n.off[u], n.off[u+1]
 				n.ctxs[u].inbox = n.inboxArena[lo:lo:hi]
 			}
 		}

@@ -2,7 +2,6 @@ package congest
 
 import (
 	"errors"
-	"math/bits"
 	"math/rand"
 	"runtime"
 
@@ -17,16 +16,13 @@ type Network struct {
 	bandwidth int
 	round     int
 
-	// rowOff[u] is the CSR start of u's adjacency row. The slot of the
-	// directed edge u→(i-th neighbor) is rowOff[u]+i; that slot indexes the
-	// per-directed-edge accounting arrays below. Each directed edge u→v is
-	// written only by the shard that owns u, so parallel stepping is
-	// race-free.
-	rowOff []int32
-	// slots is the reverse directed-edge index: a precomputed open-addressed
-	// map from the pair (u,v) to the CSR slot of u→v, making Send O(1)
-	// (the seed engine ran a binary search per message).
-	slots edgeSlotIndex
+	// off and adj are the graph's own CSR arrays (shared, read-only). The
+	// slot of the directed edge u→(i-th neighbor) is off[u]+i; that slot
+	// indexes the per-directed-edge accounting arrays below. Each directed
+	// edge u→v is written only by the shard that owns u, so parallel
+	// stepping is race-free. Rows are sorted, so the slot of u→v is a
+	// binary search of u's row (slot).
+	off, adj []int32
 
 	// Per-directed-edge CONGEST bandwidth accounting with lazy, stamped
 	// per-round reset.
@@ -39,7 +35,7 @@ type Network struct {
 	// always toggled together; writes happen only in the single-threaded
 	// control loop (Topology.SetEdge), reads during the parallel phases.
 	// edgePairs indexes the undirected edges in canonical (u < v, CSR)
-	// order so providers can toggle by edge index without hash lookups.
+	// order so providers can toggle by edge index without row searches.
 	active    []bool
 	activeDeg []int32
 	edgePairs []edgePair
@@ -55,9 +51,8 @@ type Network struct {
 
 	// Run state. The slabs are allocated on the first Run and reused by
 	// every subsequent Run on the same network (see resetRunState), so
-	// multi-source sweeps pay the construction cost — the edge-slot hash,
-	// the context/RNG slabs, the inbox arena — once per worker instead of
-	// once per source.
+	// multi-source sweeps pay the construction cost — the context/RNG
+	// slabs, the inbox arena — once per worker instead of once per source.
 	ctxs       []Context
 	procs      []Process
 	owner      []int32 // owner[u] = owning shard index, or -1-peer for remote vertices
@@ -110,21 +105,17 @@ func NewNetwork(g *graph.Graph, cfg Config) (*Network, error) {
 		g:         g,
 		cfg:       cfg,
 		bandwidth: cfg.BandwidthBits,
-		rowOff:    make([]int32, n+1),
 	}
-	for v := 0; v < n; v++ {
-		net.rowOff[v+1] = net.rowOff[v] + int32(g.Degree(v))
-	}
-	// Per-directed-edge accounting is sized by the materialized rows
-	// (rowOff[n]): exactly 2·M on a full graph, and ~1/P of that on a
-	// cluster peer's graph shard, where only owned and halo rows exist.
-	local := int(net.rowOff[n])
+	net.off, net.adj = g.CSR()
+	// Per-directed-edge accounting is sized by the materialized rows: exactly
+	// 2·M on a full graph, and ~1/P of that on a cluster peer's graph shard,
+	// where only owned and halo rows exist.
+	local := len(net.adj)
 	net.edgeBits = make([]int32, local)
 	net.edgeStamp = make([]int32, local)
 	for i := range net.edgeStamp {
 		net.edgeStamp[i] = -1
 	}
-	net.slots = buildEdgeSlots(g, net.rowOff)
 	if cfg.Cluster != nil {
 		net.transport = wireTransport{}
 	} else {
@@ -139,8 +130,8 @@ func NewNetwork(g *graph.Graph, cfg Config) (*Network, error) {
 				if int32(u) < v {
 					net.edgePairs = append(net.edgePairs, edgePair{
 						u: int32(u), v: v,
-						su: net.rowOff[u] + int32(i),
-						sv: net.slots.lookup(v, int32(u)),
+						su: net.off[u] + int32(i),
+						sv: net.slot(v, int32(u)),
 					})
 				}
 			}
@@ -215,59 +206,19 @@ func (n *Network) chargeEdge(ei int32, b int32) int {
 	return int(n.edgeBits[ei])
 }
 
-// edgeSlotIndex maps a directed vertex pair (u,v) to the CSR slot of u→v in
-// O(1): an open-addressed hash table with linear probing, built once at
-// network construction. Key 0 is the empty sentinel; the pair (0,0) can
-// never occur because the graph has no self-loops.
-type edgeSlotIndex struct {
-	mask  uint64
-	shift uint
-	keys  []uint64
-	vals  []int32
-}
-
-func pairKey(u, v int32) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
-
-func hashKey(k uint64) uint64 { return k * 0x9E3779B97F4A7C15 }
-
-func buildEdgeSlots(g *graph.Graph, rowOff []int32) edgeSlotIndex {
-	directed := int(rowOff[len(rowOff)-1]) // materialized directed edges (2·M on a full graph)
-	size := 2
-	for size < 2*directed {
-		size <<= 1
-	}
-	idx := edgeSlotIndex{
-		mask:  uint64(size - 1),
-		shift: uint(64 - bits.TrailingZeros(uint(size))),
-		keys:  make([]uint64, size),
-		vals:  make([]int32, size),
-	}
-	for u := 0; u < g.N(); u++ {
-		row := g.Neighbors(u)
-		for i, v := range row {
-			key := pairKey(int32(u), v)
-			pos := hashKey(key) >> idx.shift
-			for idx.keys[pos] != 0 {
-				pos = (pos + 1) & idx.mask
-			}
-			idx.keys[pos] = key
-			idx.vals[pos] = rowOff[u] + int32(i)
+// slot returns the CSR slot of the directed edge u→v, or -1 when v is not
+// a neighbor of u (or u's row is not materialized on this graph shard). It
+// binary-searches u's sorted row; the halving step compiles to a
+// conditional move, so the search takes no data-dependent branch.
+func (n *Network) slot(u, v int32) int32 {
+	base, end := n.off[u], n.off[u+1]
+	for size := end - base; size > 1; size -= size >> 1 {
+		if mid := base + size>>1; n.adj[mid] <= v {
+			base = mid
 		}
 	}
-	return idx
-}
-
-// lookup returns the CSR slot of u→v, or -1 when v is not a neighbor of u.
-func (idx *edgeSlotIndex) lookup(u, v int32) int32 {
-	key := pairKey(u, v)
-	pos := hashKey(key) >> idx.shift
-	for {
-		switch idx.keys[pos] {
-		case key:
-			return idx.vals[pos]
-		case 0:
-			return -1
-		}
-		pos = (pos + 1) & idx.mask
+	if base < end && n.adj[base] == v {
+		return base
 	}
+	return -1
 }

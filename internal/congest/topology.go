@@ -13,10 +13,10 @@ import "errors"
 // quiescent.
 //
 // Everything is sized for the superset at construction time — the CSR rows,
-// the edge-slot hash, the shard mailboxes, the per-directed-edge activity
-// and bandwidth arrays — so activating or deactivating edges never
-// allocates: the steady-state round loop stays zero-allocation with churn
-// running every round (Stats.TopologyChanges counts the toggles).
+// the shard mailboxes, the per-directed-edge activity and bandwidth arrays —
+// so activating or deactivating edges never allocates: the steady-state
+// round loop stays zero-allocation with churn running every round
+// (Stats.TopologyChanges counts the toggles).
 
 // TopologyProvider drives per-round topology churn on a dynamic network.
 // Set one via Config.Topology; a nil provider means the classical static
@@ -84,7 +84,7 @@ func (t *Topology) N() int { return t.net.g.N() }
 // EdgeOn reports whether the superset edge {u, v} is currently active.
 // Non-edges of the superset report false.
 func (t *Topology) EdgeOn(u, v int) bool {
-	slot := t.net.slots.lookup(int32(u), int32(v))
+	slot := t.slot(u, v)
 	return slot >= 0 && t.net.active[slot]
 }
 
@@ -93,15 +93,23 @@ func (t *Topology) EdgeOn(u, v int) bool {
 // the state changed. Pairs that are not superset edges are a provider bug
 // and panic: the dynamic model only ever removes and restores edges of the
 // fixed superset. Providers iterating the whole edge set every round should
-// prefer the index-based SetEdgeAt, which skips the two hash lookups.
+// prefer the index-based SetEdgeAt, which skips the two row searches.
 func (t *Topology) SetEdge(u, v int, on bool) bool {
 	n := t.net
-	su := n.slots.lookup(int32(u), int32(v))
-	sv := n.slots.lookup(int32(v), int32(u))
+	su, sv := t.slot(u, v), t.slot(v, u)
 	if su < 0 || sv < 0 {
 		panic(&SendError{From: u, To: v, Round: n.round, Reason: "topology: not a superset edge"})
 	}
 	return t.toggle(edgePair{u: int32(u), v: int32(v), su: su, sv: sv}, on)
+}
+
+// slot is Network.slot for provider-supplied ids: an id outside [0, N())
+// names no superset edge.
+func (t *Topology) slot(u, v int) int32 {
+	if n := t.N(); u < 0 || u >= n || v < 0 || v >= n {
+		return -1
+	}
+	return t.net.slot(int32(u), int32(v))
 }
 
 // Edges returns the number of undirected superset edges. Edge index e in
@@ -114,7 +122,7 @@ func (t *Topology) Edges() int { return len(t.net.edgePairs) }
 // O(1) array-read counterpart of EdgeOn for whole-edge-set sweeps.
 func (t *Topology) EdgeOnAt(e int) bool { return t.net.active[t.net.edgePairs[e].su] }
 
-// SetEdgeAt is SetEdge addressed by canonical edge index: no hash lookups,
+// SetEdgeAt is SetEdge addressed by canonical edge index: no row searches,
 // for providers that touch every edge every round.
 func (t *Topology) SetEdgeAt(e int, on bool) bool { return t.toggle(t.net.edgePairs[e], on) }
 

@@ -79,15 +79,13 @@ func (sh *shard) drainLocal() {
 			if dst.halted {
 				continue // counted, never read: drop instead of hoarding
 			}
-			m := buf[i].msg
-			m.Round = rnd
 			if dst.sleep > rnd && len(dst.inbox) == 0 {
 				sh.wakes++
 			}
-			if len(dst.inbox) == cap(dst.inbox) {
-				sh.deliverGrows++
-			}
-			dst.inbox = append(dst.inbox, m)
+			var m *Message
+			dst.inbox, m = extend(dst.inbox, &sh.deliverGrows)
+			*m = buf[i].msg
+			m.Round = rnd
 		}
 		src.out[sh.idx] = buf[:0]
 	}

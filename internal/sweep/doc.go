@@ -4,8 +4,8 @@
 // single reusable congest.Network (plus whatever per-worker scratch the
 // runner factory captures). The paper's headline quantity is graph-wide —
 // τ(β,ε) = max_v τ_v(β,ε) (Definition 2) — so every experiment sweeps
-// sources; before this package the sweep rebuilt the network (edge-slot
-// hash, context/RNG slabs, inbox arena) from scratch for each of the n
+// sources; before this package the sweep rebuilt the network (bandwidth
+// slots, context/RNG slabs, inbox arena) from scratch for each of the n
 // sources and ran them serially.
 //
 // # Determinism
