@@ -98,7 +98,10 @@ func BenchmarkCongestAlgorithm2(b *testing.B) {
 }
 
 // BenchmarkEstimateRW measures the distributed Algorithm 1 at several walk
-// lengths (ℓ+1 CONGEST rounds each), reporting engine throughput.
+// lengths (ℓ+1 CONGEST rounds each), reporting engine throughput. The
+// torus100 case is the sparse footprint: ℓ = 16 reaches 545 of 10^4
+// vertices, and B/vertex (heap bytes per job over n) and steps/op (Step
+// calls per job) show whether a job pays for the vertices it touches.
 func BenchmarkEstimateRW(b *testing.B) {
 	g, err := gen.RingOfCliques(8, 16)
 	if err != nil {
@@ -118,6 +121,26 @@ func BenchmarkEstimateRW(b *testing.B) {
 			reportThroughput(b, rounds, msgs)
 		})
 	}
+	torus, err := gen.Torus(100, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	torus.IsConnected() // graph facts are computed once per graph, not per job
+	b.Run("torus100/ell=16/lazy", func(b *testing.B) {
+		var steps int64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < b.N; i++ {
+			res, err := core.EstimateRWProbability(torus, 0, 16, core.Config{Lazy: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			steps += res.Stats.ActiveSteps
+		}
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*torus.N()), "B/vertex")
+		b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+	})
 }
 
 // reportThroughput attaches rounds/sec and messages/sec to a benchmark that

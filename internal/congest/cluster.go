@@ -9,7 +9,7 @@ import (
 
 // Cluster mode: one CONGEST run computed by N cooperating processes. Each
 // peer constructs the full Network (graph, edge index, topology overlay) but
-// owns — steps, seeds, delivers to — only a contiguous vertex range
+// owns — steps, delivers to — only a contiguous vertex range
 // [Peer·n/Peers, (Peer+1)·n/Peers). Remote-destined messages are batched
 // into one frame per peer per round (package frame) and exchanged through
 // the ClusterConfig.Exchange hook — every round, to every peer, even when
@@ -79,13 +79,11 @@ func (cl *ClusterConfig) validate(n int, cfg *Config) error {
 	return nil
 }
 
-// wireTransport is the cluster deliver phase: merge the shards' remote
-// outboxes into one record batch per peer, exchange frames headed by the
-// round reports, fold the reports, then run the halo-aware local drain
+// exchange is the cluster deliver phase: merge the shards' remote outboxes
+// into one record batch per peer, exchange frames headed by the round
+// reports, fold the reports, then run the halo-aware local drain
 // (shard.runDeliverWire) over the inbound frames.
-type wireTransport struct{}
-
-func (wireTransport) deliver(n *Network, rep roundReport) (roundReport, error) {
+func (n *Network) exchange(rep roundReport) (roundReport, error) {
 	cl := n.cfg.Cluster
 	for p := range n.wireOut {
 		n.wireOut[p] = n.wireOut[p][:0]
@@ -166,6 +164,9 @@ func (sh *shard) runDeliverWire() {
 			}
 			if dst.sleep > rnd && len(dst.inbox) == 0 {
 				sh.wakes++
+			}
+			if cap(dst.inbox) == 0 {
+				sh.carveInbox(dst)
 			}
 			var m *Message
 			dst.inbox, m = extend(dst.inbox, &sh.deliverGrows)

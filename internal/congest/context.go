@@ -13,8 +13,9 @@ type Context struct {
 	net    *Network
 	sh     *shard // the shard (worker) that owns this node
 	id     int32
-	inbox  []Message
-	rng    *rand.Rand
+	inbox  []Message  // carved on first delivery (carveInbox), kept across runs
+	rng    *rand.Rand // carved on first Rand, kept across runs
+	seeded bool       // whether rng was seeded in this run
 	halted bool
 	sleep  int32 // absolute round before which the node need not be stepped
 	err    error
@@ -71,8 +72,30 @@ func (c *Context) ActiveDegree() int {
 	return int(c.net.activeDeg[c.id])
 }
 
-// Rand returns this node's private deterministic RNG.
-func (c *Context) Rand() *rand.Rand { return c.rng }
+// nodeRNG is one node's RNG state: a rand.Rand over the node's own
+// splitmix64, kept together so a shard's chunk holds both.
+type nodeRNG struct {
+	src splitmix64
+	r   rand.Rand
+}
+
+// Rand returns this node's private deterministic RNG. Its first call in a
+// run seeds it from (run seed, node id), so the stream does not depend on
+// the round of first use or on earlier runs of a reused network. The state
+// is carved from the owning shard's chunk on the node's first call ever, so
+// nodes that never draw cost nothing.
+func (c *Context) Rand() *rand.Rand {
+	if !c.seeded {
+		if c.rng == nil {
+			nr := &c.sh.rngs.carve(1)[0]
+			nr.r = *rand.New(&nr.src)
+			c.rng = &nr.r
+		}
+		c.rng.Seed(nodeSeed(c.net.cfg.Seed, int(c.id)))
+		c.seeded = true
+	}
+	return c.rng
+}
 
 // Publish records a protocol-state value for this node — the walk token's
 // position, a witness-set mass, any single word the protocol is willing to

@@ -31,63 +31,58 @@
 //
 //   - Sharding. The node set is split into W contiguous shards, one per
 //     worker. Who executes a shard changes from phase to phase; the shard
-//     structure does not. A shard owns its nodes' Contexts exclusively: it steps them,
-//     delivers into their inboxes, and maintains their liveness, so no lock
-//     is ever taken on per-node state.
+//     structure does not. A shard owns its nodes' Contexts exclusively: it
+//     steps them, delivers into their inboxes and tracks their liveness,
+//     so no lock is ever taken on per-node state.
 //
 //   - Sharded mailboxes. Each shard keeps one flat outbox buffer per
-//     destination shard (a W×W matrix of []pend slices). Send appends the
-//     message to out[owner(to)]; buffers are truncated, never freed, so the
-//     steady state allocates nothing. The deliver phase runs each
-//     destination shard as one unit: shard s drains out[w][s] for w = 0..W-1 in order.
-//     Because shards are contiguous id ranges and every shard steps its
-//     nodes in ascending id order, this drain order reproduces exactly the
-//     canonical "ascending sender id, then send order" inbox ordering — for
-//     every worker count, which is what makes the engine deterministic
-//     under parallelism.
+//     destination shard (a W×W matrix of []pend slices), truncated and
+//     never freed. Shard s delivers by draining out[w][s] for w = 0..W-1
+//     in order. Shards are contiguous id ranges stepped in ascending id
+//     order, so this reproduces the canonical "ascending sender id, then
+//     send order" inbox ordering for every worker count.
 //
 //   - CSR edge slots. The directed edge u→v is named by its position in
-//     the graph's own CSR arrays, so the engine builds no edge index of its
-//     own. Send finds the slot by binary search of u's sorted adjacency
-//     row (O(log deg)); SendNbr and Broadcast address neighbors by row
-//     position and search nothing. The same slot indexes the
-//     per-directed-edge bandwidth accounting arrays, which only the
-//     sending shard writes. Each message is written once into its outbox
-//     entry and copied once into the receiver's inbox; the engine stamps
-//     From and Round in place.
+//     the graph's own CSR arrays. Send finds it by binary search of u's
+//     sorted row; SendNbr and Broadcast address neighbors by row position.
+//     The slot indexes the per-directed-edge bandwidth accounting, which
+//     only the sending shard writes. Each message is written once into
+//     its outbox entry and copied once into the receiver's inbox.
 //
-//   - Liveness tracking. Each shard keeps a compact ascending list of its
-//     live (non-halted) nodes, compacted in place as nodes halt, plus a
-//     halted count, so round upkeep is O(live), not O(n). Sleeping nodes
-//     are skipped in O(1) and feed a per-round wake estimate; when a round
-//     delivers no messages and steps no node, the engine fast-forwards the
-//     round counter to the earliest wake-up instead of grinding through
-//     empty rounds.
+//   - Liveness tracking. Each shard keeps an ascending list of its live
+//     (non-halted) nodes, compacted in place as nodes halt, so round upkeep
+//     is O(live), not O(n). Sleeping nodes are skipped in O(1); when a
+//     round delivers nothing and steps no node, the engine fast-forwards
+//     to the earliest wake-up.
+//
+//   - State on first use. A node's inbox, of capacity deg(v), is carved
+//     from its shard's slab on the node's first delivery, and its RNG from
+//     a shard chunk on its first Context.Rand, which seeds it from
+//     (seed, id). A protocol that reaches only a ball of the graph pays
+//     for that ball. A slab never exceeds the shard's owned rows not yet
+//     carved, so a run in which every node receives allocates what one
+//     up-front inbox array would. Carved state stays with its node across
+//     Runs of a reused network.
 //
 // # Dynamic networks
 //
 // Setting Config.Topology turns the graph into the *superset* of a dynamic
 // network (the evolving-graph model of Kuhn–Lynch–Oshman and the
 // Das Sarma–Molla–Pandurangan random-walk line): at every round boundary
-// the TopologyProvider activates/deactivates superset edges on the
-// engine-owned activity overlay, with all workers quiescent. Within a round
-// the topology is frozen; processes observe it via Context.EdgeActive and
-// Context.ActiveDegree. Messages are split into two planes: volatile
-// messages (Message.Flags & FlagVolatile) are subject to the current edge
-// state — a volatile send over an inactive edge is bounced back to its
-// sender as a link-layer loss notification — while plain messages ride the
-// superset unconditionally, serving as the out-of-band control plane of the
-// dynamic algorithms in internal/core. Because the overlay is sized for the
-// superset at construction (activity array, bandwidth slots, mailboxes), churn
-// never allocates: the zero-allocation steady state holds with edges
-// toggling every round. Dynamic runs disable fast-forwarding (the provider
-// must observe every round) and remain deterministic for every worker
-// count; the engine rewinds the overlay on every Run, so reused sweep
-// networks replay the exact same churn schedule.
+// the TopologyProvider toggles superset edges on the engine-owned activity
+// overlay, with all workers quiescent, and processes observe the frozen
+// round topology via Context.EdgeActive and Context.ActiveDegree. Volatile
+// messages (FlagVolatile) are subject to the current edge state — a
+// volatile send over an inactive edge is bounced back to its sender as a
+// link-layer loss notification — while plain messages ride the superset as
+// the out-of-band control plane of the dynamic algorithms in
+// internal/core. The overlay is sized for the superset at construction, so
+// churn never allocates. Dynamic runs disable fast-forwarding (the provider
+// must observe every round), stay deterministic for every worker count,
+// and rewind the overlay on every Run, so reused sweep networks replay the
+// same churn schedule.
 //
 // Stats exposes counters for each of these mechanisms (ActiveSteps,
 // SleepSkips, Wakeups, SkippedRounds, TopologyChanges, DroppedSends, and
-// the per-phase buffer-growth counters StepGrows/DeliverGrows), so
-// regressions in the zero-allocation property are observable from the
-// outside.
+// the buffer-growth counters StepGrows/DeliverGrows).
 package congest

@@ -3,7 +3,6 @@ package congest
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 
@@ -59,6 +58,13 @@ type shard struct {
 	// the transport merges them into the per-peer frames.
 	wireOut [][]frame.Record
 
+	// inboxes and rngs hold the per-node state carved on first use: an
+	// inbox of capacity deg(v) on v's first delivery (carveInbox), an RNG on
+	// its first Context.Rand. Only the owning shard carves, so both are
+	// race-free, and carved state stays with its node across runs.
+	inboxes slab[Message]
+	rngs    slab[nodeRNG]
+
 	// Per-phase accumulators, merged and reset by the control loop.
 	steps        int64
 	skips        int64
@@ -72,6 +78,33 @@ type shard struct {
 	maxEdgeBits  int
 	minWake      int32
 	err          error
+}
+
+// slabMin is the smallest backing array a slab allocates, in elements:
+// 40 KB of inboxes, 56 KB of RNGs. Arrays this large are allocated as
+// objects of their own; smaller ones would leave partly used spans of
+// several size classes behind in every process that runs jobs.
+const slabMin = 1024
+
+// slab hands out per-node runs of T cut from shared backing arrays, so a
+// run pays for the nodes that use the state, one allocation per array
+// rather than one per node.
+type slab[T any] struct {
+	free        []T // uncarved tail of the current backing array
+	left, given int // elements the uncarved owned nodes may still take; elements carved
+}
+
+// carve cuts k elements for one node. A new backing array doubles what the
+// slab has given (at least slabMin and k) but never exceeds left, so when
+// every owned node takes its share the arrays add up to about one
+// up-front allocation of the owned range.
+func (s *slab[T]) carve(k int) []T {
+	if len(s.free) < k {
+		s.free = make([]T, min(s.left, max(k, slabMin, s.given)))
+	}
+	out := s.free[:k:k]
+	s.free, s.left, s.given = s.free[k:], s.left-k, s.given+k
+	return out
 }
 
 // runStep steps every live node of the shard in ascending id order,
@@ -110,10 +143,13 @@ func (sh *shard) runStep() {
 
 // run executes one phase of this shard.
 func (sh *shard) run(ph int8) {
-	if ph == phaseStep {
+	switch {
+	case ph == phaseStep:
 		sh.runStep()
-	} else {
-		sh.runDeliver()
+	case sh.net.cfg.Cluster != nil:
+		sh.runDeliverWire()
+	default:
+		sh.drainLocal()
 	}
 }
 
@@ -258,15 +294,16 @@ func (n *Network) finalize() *Stats {
 // (bandwidth violation, illegal send, or round-limit exhaustion), if any.
 //
 // Run may be called repeatedly on the same network (optionally reseeded via
-// SetSeed between calls): every slab from the previous run — contexts, RNGs,
-// mailboxes, inboxes — is reset in place and reused, so repeated
-// runs amortize network construction. The returned Stats are a private copy,
-// unaffected by later runs. Concurrent Runs on one network are not allowed.
+// SetSeed between calls): every slab from the previous run — contexts,
+// mailboxes, carved inboxes and RNGs — is reset in place and reused, so
+// repeated runs amortize network construction. The returned Stats are a
+// private copy, unaffected by later runs. Concurrent Runs on one network
+// are not allowed.
 func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 	nn := n.g.N()
 	// lo/hi is the vertex range this process owns: the whole graph in
 	// single-process mode, this peer's contiguous slice in cluster mode.
-	// Only owned vertices are seeded, initialized, stepped and delivered to;
+	// Only owned vertices are initialized, stepped and delivered to;
 	// shards partition the owned range.
 	lo, hi := 0, nn
 	cl := n.cfg.Cluster
@@ -279,14 +316,9 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 		nw = 1
 	}
 	if n.ctxs == nil {
-		// First run: allocate the run-state slabs. One RNG slab and one
-		// inbox arena serve the whole network: the arena gives every node
-		// an inbox segment of capacity degree (the common per-round
-		// fan-in), so warmup growth is one allocation, not n. On huge
-		// graphs the degree-capacity arena (40 bytes per directed edge)
-		// would dwarf the CSR itself while sparse-traffic protocols never
-		// fill it, so beyond the cap inboxes start empty and grow to
-		// actual traffic instead.
+		// First run: allocate the run-state slabs. Inboxes and RNGs are
+		// not among them: each shard carves those when a node first needs
+		// one, bounded by its owned rows and nodes.
 		n.ctxs = make([]Context, nn)
 		n.procs = make([]Process, nn)
 		n.owner = make([]int32, nn)
@@ -298,8 +330,9 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 			sh.idx = int32(w)
 			sh.lo, sh.hi = int32(slo), int32(shi)
 			sh.out = make([][]pend, nw)
-			sh.minWake = noWake
 			sh.live = make([]int32, 0, shi-slo)
+			sh.inboxes.left = int(n.off[shi] - n.off[slo])
+			sh.rngs.left = shi - slo
 			for u := slo; u < shi; u++ {
 				n.owner[u] = int32(w)
 			}
@@ -322,20 +355,8 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 			}
 			n.wireOut = make([][]frame.Record, cl.Peers)
 		}
-		n.rngSrcs = make([]splitmix64, nn)
-		n.rngs = make([]rand.Rand, nn)
-		const inboxArenaCap = 1 << 20 // Message slots (~40 MB) — covers every bench-scale graph
-		// Sized by the materialized rows (2·M full, ~1/P on a graph shard).
-		if slots := len(n.adj); slots <= inboxArenaCap {
-			n.inboxArena = make([]Message, slots)
-			for u := 0; u < nn; u++ {
-				lo, hi := n.off[u], n.off[u+1]
-				n.ctxs[u].inbox = n.inboxArena[lo:lo:hi]
-			}
-		}
-	} else {
-		n.resetRunState()
 	}
+	n.resetRunState()
 	if n.cfg.Topology != nil {
 		// Rewind the activity overlay to the all-active superset and let the
 		// provider establish the round-0 edge set before any Init runs.
@@ -343,21 +364,11 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 		n.cfg.Topology.Start(&n.topo)
 	}
 	for u := lo; u < hi; u++ {
-		// Reseed in place: splitmix64 seeds in one word, so per-run RNG
-		// setup is two slab passes, no allocation. rand.New's temporary
-		// stays on the stack because only the dereferenced value is stored.
-		// Cluster peers seed only their owned range; nodeSeed depends only
-		// on (seed, id), so node u's stream is identical wherever it runs.
-		n.rngSrcs[u].x = uint64(nodeSeed(n.cfg.Seed, u))
-		n.rngs[u] = *rand.New(&n.rngSrcs[u])
-		inbox := n.ctxs[u].inbox[:0] // keep the warm capacity across runs
-		n.ctxs[u] = Context{
-			net:   n,
-			sh:    &n.shards[n.owner[u]],
-			id:    int32(u),
-			rng:   &n.rngs[u],
-			inbox: inbox,
-		}
+		// Carved inboxes and RNGs stay with their node: the inbox keeps its
+		// warm capacity, the RNG is reseeded by its first Rand of the run.
+		c := &n.ctxs[u]
+		*c = Context{net: n, sh: &n.shards[n.owner[u]], id: int32(u),
+			inbox: c.inbox[:0], rng: c.rng}
 		n.procs[u] = newProc(u)
 	}
 	if len(n.shards) > 1 {
@@ -402,7 +413,7 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 		// settled report, so all cluster peers take it in the same round.
 		// An erring peer still exchanges first: the others wait on its
 		// frame, which carries the error to them.
-		g, err := n.transport.deliver(n, rep)
+		g, err := n.deliver(rep)
 		if err != nil {
 			return n.finalize(), err
 		}

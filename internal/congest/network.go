@@ -2,7 +2,6 @@ package congest
 
 import (
 	"errors"
-	"math/rand"
 	"runtime"
 
 	"repro/internal/congest/frame"
@@ -51,21 +50,15 @@ type Network struct {
 
 	// Run state. The slabs are allocated on the first Run and reused by
 	// every subsequent Run on the same network (see resetRunState), so
-	// multi-source sweeps pay the construction cost — the context/RNG
-	// slabs, the inbox arena — once per worker instead of once per source.
-	ctxs       []Context
-	procs      []Process
-	owner      []int32 // owner[u] = owning shard index, or -1-peer for remote vertices
-	shards     []shard
-	pool       *workerPool
-	rngSrcs    []splitmix64
-	rngs       []rand.Rand
-	inboxArena []Message
+	// multi-source sweeps pay the construction cost — the context slab and
+	// the inboxes and RNGs the shards carve — once per worker instead of
+	// once per source.
+	ctxs   []Context
+	procs  []Process
+	owner  []int32 // owner[u] = owning shard index, or -1-peer for remote vertices
+	shards []shard
+	pool   *workerPool
 
-	// transport executes the deliver phase: the in-memory mailbox drain
-	// (loopbackTransport) or the cluster frame exchange (wireTransport).
-	// Selected once at construction from Config.Cluster.
-	transport transport
 	// wireOut[p] is the merged per-round record batch headed to peer p;
 	// wireIn[p] the decoded batch received from p, both nil outside cluster
 	// mode. wireIn aliases the Exchanger's buffers and is valid only during
@@ -112,15 +105,7 @@ func NewNetwork(g *graph.Graph, cfg Config) (*Network, error) {
 	// where only owned and halo rows exist.
 	local := len(net.adj)
 	net.edgeBits = make([]int32, local)
-	net.edgeStamp = make([]int32, local)
-	for i := range net.edgeStamp {
-		net.edgeStamp[i] = -1
-	}
-	if cfg.Cluster != nil {
-		net.transport = wireTransport{}
-	} else {
-		net.transport = loopbackTransport{}
-	}
+	net.edgeStamp = make([]int32, local) // rewound by every Run (resetRunState)
 	if cfg.Topology != nil {
 		net.active = make([]bool, 2*g.M())
 		net.activeDeg = make([]int32, n)
@@ -156,12 +141,12 @@ func (n *Network) SetSeed(seed int64) { n.cfg.Seed = seed }
 // Seed returns the engine seed the next Run will use.
 func (n *Network) Seed() int64 { return n.cfg.Seed }
 
-// resetRunState rewinds every piece of per-run state so the network can
-// execute another Run on the same graph while reusing all allocated slabs:
+// resetRunState rewinds every piece of per-run state before each Run, so
+// a network can run again on the same graph reusing all allocated slabs:
 // the round counter and statistics restart from zero, the bandwidth stamps
 // are invalidated, and each shard's live list, mailboxes and accumulators
-// are truncated in place (capacity — the warm buffer sizes
-// reached by the previous run — is kept, which is the point of reuse).
+// are truncated in place (capacity — the warm buffer sizes reached by the
+// previous run — is kept, which is the point of reuse).
 func (n *Network) resetRunState() {
 	n.round = 0
 	n.stats = Stats{}
@@ -189,9 +174,6 @@ func (n *Network) resetRunState() {
 	}
 	n.wireIn = nil
 }
-
-// Bandwidth returns the per-edge budget in bits (CONGEST mode).
-func (n *Network) Bandwidth() int { return n.bandwidth }
 
 // chargeEdge adds bits to the edge slot's usage in the current round and
 // returns the new total. Uses a round stamp for O(1) lazy reset. Only the

@@ -1,11 +1,11 @@
 package congest
 
-// splitmix64 is a tiny O(1)-seed rand.Source64. The engine creates one RNG
-// per node per run; math/rand's default lagged-Fibonacci source pays an
-// ~600-word table initialization per seed, which dominated whole-run
-// profiles on small networks, while splitmix64 seeds in one word and has
-// excellent statistical quality for simulation workloads (it is the seeding
-// generator recommended for the xoshiro family).
+// splitmix64 is a tiny O(1)-seed rand.Source64. math/rand's default
+// lagged-Fibonacci source pays an ~600-word table initialization per seed,
+// which dominated whole-run profiles on small networks, while splitmix64
+// seeds in one word and has excellent statistical quality for simulation
+// workloads (it is the seeding generator recommended for the xoshiro
+// family).
 type splitmix64 struct{ x uint64 }
 
 func (s *splitmix64) Uint64() uint64 {
@@ -22,8 +22,8 @@ func (s *splitmix64) Seed(seed int64) { s.x = uint64(seed) }
 
 // nodeSeed derives the per-node RNG seed from the run seed. The constant
 // mixing keeps distinct nodes on distinct streams and distinct run seeds on
-// distinct per-node streams. The RNG slabs themselves live on the Network
-// (rngSrcs/rngs) and are reseeded in place by every Run.
+// distinct per-node streams. Context.Rand seeds a node's RNG with it on
+// the node's first call in a run.
 func nodeSeed(runSeed int64, u int) int64 {
 	return runSeed ^ (int64(u)*0x5E3779B97F4A7C15 + 0x1234567)
 }

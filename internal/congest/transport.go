@@ -1,41 +1,21 @@
 package congest
 
-// This file is the transport seam of the round engine: the deliver phase —
-// moving one round's queued messages from the per-shard outboxes into the
-// destination inboxes — goes through the transport interface instead of
-// assuming every destination lives in this process.
-//
-// Two implementations exist. loopbackTransport is the classical
-// single-process path: every vertex is local, delivery is the parallel
-// in-memory drain of the W×W sharded mailbox matrix, and the behavior (and
-// allocation profile) is byte-identical to the engine before the seam
-// existed. wireTransport (cluster.go) is the multi-process path: each peer
-// owns a contiguous vertex range, remote-destined messages are batched into
-// one frame per peer per round, and the deliver phase merges the local
-// matrix with the decoded inbound frames in canonical sender order.
+// The deliver phase moves one round's queued messages from the per-shard
+// outboxes into the destination inboxes. A single-process run drains the
+// W×W sharded mailbox matrix in memory (deliver); a cluster peer also
+// batches remote-destined messages into one frame per peer and merges the
+// inbound frames around its local matrix in canonical sender order
+// (exchange, cluster.go).
 
-// transport executes the deliver phase of one round. Implementations are
-// in-package: the seam is selected by Config.Cluster (nil = loopback), not
-// injected, so the zero-alloc loopback path stays free of interface
-// indirection inside the per-message loops.
-type transport interface {
-	// deliver moves every message queued in the current round into its
-	// destination inbox and returns the round's global report: rep itself
-	// on loopback, the fold of every peer's report in cluster mode. All
-	// shard workers are quiescent when it is called; it runs the local
-	// drain through runPhase. A non-nil error aborts the run (transport
-	// failures are fatal: a peer cannot continue a lockstep computation
-	// alone).
-	deliver(n *Network, rep roundReport) (roundReport, error)
-}
-
-// loopbackTransport is the single-process deliver phase: the drain of the
-// sharded mailbox matrix, whose work is the round's sent messages. It moves
-// no bytes and sends no frames — Stats.WireBytes/FramesSent/FramesRecv stay
-// zero.
-type loopbackTransport struct{}
-
-func (loopbackTransport) deliver(n *Network, rep roundReport) (roundReport, error) {
+// deliver runs the round's deliver phase and returns its global report:
+// rep itself in a single-process run, where the drain's work is the
+// round's sent messages, or the fold of every peer's report on a cluster
+// peer. All shard workers are quiescent when it is called. A non-nil error
+// aborts the run: a peer cannot continue a lockstep computation alone.
+func (n *Network) deliver(rep roundReport) (roundReport, error) {
+	if n.cfg.Cluster != nil {
+		return n.exchange(rep)
+	}
 	n.runPhase(phaseDeliver, rep.sent)
 	return rep, nil
 }
@@ -46,22 +26,13 @@ type pend struct {
 	msg Message
 }
 
-// runDeliver drains every shard's mailbox destined to this shard, in shard
-// order. Because shards are contiguous ascending id ranges and each shard
-// steps in ascending id order, the drain reproduces the canonical
-// (ascending sender, send order) inbox ordering for any worker count. On a
-// cluster peer the same canonical order spans processes: inbound peer
-// frames merge around the local matrix in ascending peer order
-// (runDeliverWire).
-func (sh *shard) runDeliver() {
-	if sh.net.cfg.Cluster != nil {
-		sh.runDeliverWire()
-		return
-	}
-	sh.drainLocal()
-}
-
-// drainLocal drains the local mailbox matrix into this shard's inboxes.
+// drainLocal drains every shard's mailbox destined to this shard into its
+// inboxes, in shard order. Because shards are contiguous ascending id
+// ranges and each shard steps in ascending id order, the drain reproduces
+// the canonical (ascending sender, send order) inbox ordering for any
+// worker count. On a cluster peer the same canonical order spans
+// processes: inbound peer frames merge around the local matrix in
+// ascending peer order (runDeliverWire).
 func (sh *shard) drainLocal() {
 	net := sh.net
 	rnd := int32(net.round + 1)
@@ -82,6 +53,9 @@ func (sh *shard) drainLocal() {
 			if dst.sleep > rnd && len(dst.inbox) == 0 {
 				sh.wakes++
 			}
+			if cap(dst.inbox) == 0 {
+				sh.carveInbox(dst)
+			}
 			var m *Message
 			dst.inbox, m = extend(dst.inbox, &sh.deliverGrows)
 			*m = buf[i].msg
@@ -89,4 +63,11 @@ func (sh *shard) drainLocal() {
 		}
 		src.out[sh.idx] = buf[:0]
 	}
+}
+
+// carveInbox gives dst, on its first delivery, an inbox of capacity
+// deg(v) carved from the shard's slab.
+func (sh *shard) carveInbox(dst *Context) {
+	off := sh.net.off
+	dst.inbox = sh.inboxes.carve(int(off[dst.id+1] - off[dst.id]))[:0]
 }

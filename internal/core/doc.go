@@ -30,6 +30,12 @@
 // every round, while Stats.ActiveSteps follows events instead of
 // node-rounds. The driver never sleeps.
 //
+// Standalone Algorithm 1 (EstimateRWProbability) works the same way: a
+// node that holds no mass sleeps until round ℓ+1, when every node halts,
+// and arriving mass wakes it. Before the last round only the ℓ-ball around
+// the source is stepped, and the engine carves inboxes only for the nodes
+// that receive, so a short walk on a large graph pays for the ball.
+//
 // # Dynamic networks
 //
 // With a congest.TopologyProvider attached (Config.Engine.Topology,

@@ -12,14 +12,16 @@ import (
 // rwProc is the standalone Algorithm 1 process: every node knows the length
 // ℓ up front (it is an input of ESTIMATE-RW-PROBABILITY), floods for exactly
 // ℓ steps and halts. Step t sends during round t and is ingested during
-// round t+1.
+// round t+1. A node holding no mass has nothing to do until mass arrives or
+// round ℓ+1 ends the run, so it sleeps until then and arrival wakes it:
+// only the ℓ-ball around the source is ever stepped before the last round.
 type rwProc struct {
 	sh  *shared
 	ell int
 	w   int64
 }
 
-func (p *rwProc) Init(ctx *congest.Context) {}
+func (p *rwProc) Init(ctx *congest.Context) { p.sleepIfEmpty(ctx) }
 
 func (p *rwProc) Step(ctx *congest.Context) {
 	var in int64
@@ -35,6 +37,15 @@ func (p *rwProc) Step(ctx *congest.Context) {
 	}
 	if r >= p.ell+1 {
 		ctx.Halt()
+		return
+	}
+	p.sleepIfEmpty(ctx)
+}
+
+// sleepIfEmpty sleeps a node that holds no mass until round ℓ+1.
+func (p *rwProc) sleepIfEmpty(ctx *congest.Context) {
+	if p.w == 0 {
+		ctx.Sleep(p.ell + 1 - ctx.Round())
 	}
 }
 

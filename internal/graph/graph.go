@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Graph is an immutable simple undirected graph in CSR form.
@@ -15,12 +16,18 @@ import (
 // Meta with the whole-graph facts (edge count, degree bounds, connectivity,
 // bipartiteness); the global accessors — M, MinDegree, MaxDegree, Regular,
 // IsConnected, IsBipartite — answer from the Meta so shard-local code sees
-// the full graph's invariants without holding its edges.
+// the full graph's invariants without holding its edges. A full graph
+// computes the same facts in one pass on the first such call and keeps
+// them, so later calls cost nothing.
 type Graph struct {
 	name    string
 	offsets []int32 // len n+1; neighbors of u are edges[offsets[u]:offsets[u+1]]
 	edges   []int32 // len 2m, sorted within each row
 	meta    *Meta   // non-nil only for sharded builds; whole-graph facts
+
+	// A full graph's computed Meta (see whole).
+	factsOnce sync.Once
+	facts     Meta
 }
 
 // ErrNotConnected is returned by operations that require a connected graph.
@@ -75,54 +82,72 @@ func (g *Graph) HasEdge(u, v int) bool {
 }
 
 // MinDegree returns the minimum degree, or 0 for the empty graph.
-func (g *Graph) MinDegree() int {
-	if g.meta != nil {
-		return g.meta.MinDeg
-	}
-	if g.N() == 0 {
-		return 0
-	}
-	min := g.Degree(0)
-	for u := 1; u < g.N(); u++ {
-		if d := g.Degree(u); d < min {
-			min = d
-		}
-	}
-	return min
-}
+func (g *Graph) MinDegree() int { return g.whole().MinDeg }
 
 // MaxDegree returns the maximum degree, or 0 for the empty graph.
-func (g *Graph) MaxDegree() int {
-	if g.meta != nil {
-		return g.meta.MaxDeg
+func (g *Graph) MaxDegree() int { return g.whole().MaxDeg }
+
+// Regular reports whether every vertex has the same degree, and that degree
+// (the minimum degree when it does not).
+func (g *Graph) Regular() (d int, ok bool) {
+	m := g.whole()
+	if m.RegularDeg >= 0 {
+		return m.RegularDeg, true
 	}
-	max := 0
-	for u := 0; u < g.N(); u++ {
-		if d := g.Degree(u); d > max {
-			max = d
-		}
-	}
-	return max
+	return m.MinDeg, false
 }
 
-// Regular reports whether every vertex has the same degree, and that degree.
-func (g *Graph) Regular() (d int, ok bool) {
+// whole returns the whole-graph facts: a shard's Meta, or for a full graph
+// a Meta computed once, on first use, and kept (the graph is immutable).
+func (g *Graph) whole() *Meta {
 	if g.meta != nil {
-		if g.meta.RegularDeg >= 0 {
-			return g.meta.RegularDeg, true
+		return g.meta
+	}
+	g.factsOnce.Do(func() { g.facts = g.computeMeta() })
+	return &g.facts
+}
+
+// computeMeta derives a full graph's Meta. One 2-coloring BFS per
+// component answers both traversal facts: the graph is connected when the
+// first BFS reaches every vertex, and bipartite when no edge joins two
+// vertices of the same color.
+func (g *Graph) computeMeta() Meta {
+	n := g.N()
+	m := Meta{M: g.M(), RegularDeg: -1, Connected: true, Bipartite: true}
+	if n == 0 {
+		m.RegularDeg = 0
+		return m
+	}
+	m.MinDeg, m.MaxDeg = g.Degree(0), g.Degree(0)
+	for u := 1; u < n; u++ {
+		m.MinDeg = min(m.MinDeg, g.Degree(u))
+		m.MaxDeg = max(m.MaxDeg, g.Degree(u))
+	}
+	if m.MinDeg == m.MaxDeg {
+		m.RegularDeg = m.MinDeg
+	}
+	color := make([]int8, n) // 0 = unvisited, 1 / 2 = sides
+	queue := make([]int32, 0, n)
+	for s := 0; s < n; s++ {
+		if color[s] != 0 {
+			continue
 		}
-		return g.meta.MinDeg, false
-	}
-	if g.N() == 0 {
-		return 0, true
-	}
-	d = g.Degree(0)
-	for u := 1; u < g.N(); u++ {
-		if g.Degree(u) != d {
-			return d, false
+		m.Connected = s == 0
+		color[s] = 1
+		queue = append(queue[:0], int32(s))
+		for i := 0; i < len(queue); i++ {
+			u := queue[i]
+			for _, v := range g.Neighbors(int(u)) {
+				if color[v] == 0 {
+					color[v] = 3 - color[u]
+					queue = append(queue, v)
+				} else if color[v] == color[u] {
+					m.Bipartite = false
+				}
+			}
 		}
 	}
-	return d, true
+	return m
 }
 
 // Volume returns the sum of degrees of the given vertex set, µ(S) in the

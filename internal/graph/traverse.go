@@ -57,55 +57,13 @@ func (g *Graph) Eccentricity(u int) (int, error) {
 
 // IsConnected reports whether the graph is connected. The empty graph is
 // considered connected. A shard answers for the whole graph from its Meta.
-func (g *Graph) IsConnected() bool {
-	if g.meta != nil {
-		return g.meta.Connected
-	}
-	n := g.N()
-	if n == 0 {
-		return true
-	}
-	dist := g.BFS(0)
-	for _, d := range dist {
-		if d == Unreachable {
-			return false
-		}
-	}
-	return true
-}
+func (g *Graph) IsConnected() bool { return g.whole().Connected }
 
 // IsBipartite reports whether the graph is 2-colorable. Mixing of the simple
 // (non-lazy) random walk is undefined on bipartite graphs (paper footnote 5);
 // callers use this to decide whether laziness is required. A shard answers
 // for the whole graph from its Meta.
-func (g *Graph) IsBipartite() bool {
-	if g.meta != nil {
-		return g.meta.Bipartite
-	}
-	n := g.N()
-	color := make([]int8, n) // 0 = uncolored, 1 / 2 = sides
-	var queue []int32
-	for s := 0; s < n; s++ {
-		if color[s] != 0 {
-			continue
-		}
-		color[s] = 1
-		queue = append(queue[:0], int32(s))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.Neighbors(int(u)) {
-				if color[v] == 0 {
-					color[v] = 3 - color[u]
-					queue = append(queue, v)
-				} else if color[v] == color[u] {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
+func (g *Graph) IsBipartite() bool { return g.whole().Bipartite }
 
 // Diameter computes the exact diameter by running BFS from every vertex.
 // O(n·m); intended for the small-to-medium graphs used in tests and

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -173,5 +174,68 @@ func TestDiameterApproxBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGraphFactsComputedOnce: a full graph's connectivity, bipartiteness
+// and regularity come from one pass on first use, are safe under
+// concurrent first use, and cost no allocation afterwards.
+func TestGraphFactsComputedOnce(t *testing.T) {
+	// A 4-path plus a triangle: disconnected, and the odd cycle sits in
+	// the second component, which the single pass must still visit.
+	b := NewBuilder(7)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 3)
+	b.AddEdge(4, 5)
+	b.AddEdge(5, 6)
+	b.AddEdge(6, 4)
+	split := b.Build()
+	// The odd cycle first: the pass must still find the second component.
+	b = NewBuilder(5)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 0)
+	b.AddEdge(3, 4)
+	oddFirst := b.Build()
+	cases := []struct {
+		name                 string
+		g                    *Graph
+		connected, bipartite bool
+		deg                  int
+		regular              bool
+	}{
+		{"path+triangle", split, false, false, 1, false},
+		{"triangle+edge", oddFirst, false, false, 1, false},
+		{"cycle6", cycleGraph(6), true, true, 2, true},
+		{"cycle7", cycleGraph(7), true, false, 2, true},
+		{"path5", pathGraph(5), true, true, 1, false},
+	}
+	for _, c := range cases {
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.g.IsConnected()
+				c.g.IsBipartite()
+				c.g.Regular()
+			}()
+		}
+		wg.Wait()
+		d, ok := c.g.Regular()
+		if c.g.IsConnected() != c.connected || c.g.IsBipartite() != c.bipartite || d != c.deg || ok != c.regular {
+			t.Errorf("%s: connected/bipartite/regular = %t/%t/(%d,%t), want %t/%t/(%d,%t)", c.name,
+				c.g.IsConnected(), c.g.IsBipartite(), d, ok, c.connected, c.bipartite, c.deg, c.regular)
+		}
+		for name, f := range map[string]func(){
+			"IsConnected": func() { c.g.IsConnected() },
+			"IsBipartite": func() { c.g.IsBipartite() },
+			"Regular":     func() { c.g.Regular() },
+		} {
+			if a := testing.AllocsPerRun(10, f); a != 0 {
+				t.Errorf("%s: %s allocates %.0f times after the first call", c.name, name, a)
+			}
+		}
 	}
 }

@@ -229,7 +229,9 @@ func runWalk(inv *Invocation) (any, error) {
 
 func runEstimate(inv *Invocation) (any, error) {
 	t := inv.Task
-	return core.EstimateRWProbability(inv.Env.Graph(), t.Source, t.Steps, core.Config{Lazy: t.Lazy})
+	cfg := core.Config{Lazy: t.Lazy, C: t.C}
+	cfg.Engine.MaxRounds, cfg.Engine.Workers = t.MaxRounds, t.Workers
+	return core.EstimateRWProbability(inv.Env.Graph(), t.Source, t.Steps, cfg)
 }
 
 // sweepMode resolves the sweep kind's per-source algorithm.

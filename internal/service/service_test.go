@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/spec"
@@ -53,6 +54,32 @@ func TestRunMatchesDirectCalls(t *testing.T) {
 		}
 		if !reflect.DeepEqual(resp.Result, want) {
 			t.Fatalf("service result differs from direct core call:\n  svc  %+v\n  core %+v", resp.Result, want)
+		}
+	})
+
+	t.Run("estimate-c-and-maxRounds", func(t *testing.T) {
+		torus := spec.GraphSpec{Family: "torus", Dim: 8}
+		tg, err := torus.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		task := spec.TaskSpec{Kind: spec.KindEstimate, Lazy: true, Steps: 16, C: 3}
+		resp := mustRun(t, svc, Request{Graph: torus, Task: task})
+		want, err := core.EstimateRWProbability(tg, 0, 16, core.Config{Lazy: true, C: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resp.Result, want) {
+			t.Fatalf("c=3 estimate differs from the direct core call:\n  svc  %+v\n  core %+v", resp.Result, want)
+		}
+		task.C = 0
+		def := mustRun(t, svc, Request{Graph: torus, Task: task})
+		if got, dflt := resp.Result.(*core.RWEstimate).Scale, def.Result.(*core.RWEstimate).Scale; got == dflt {
+			t.Fatalf("c=3 and c=0 estimates share the scale %+v", got)
+		}
+		task.MaxRounds = 4
+		if _, err := svc.Run(context.Background(), Request{Graph: torus, Task: task}); !errors.Is(err, congest.ErrRoundLimit) {
+			t.Fatalf("16-step estimate under maxRounds 4: err = %v, want the round limit", err)
 		}
 	})
 
