@@ -1,6 +1,6 @@
-// Benchmark harness: one testing.B benchmark per experiment in the paper
-// index (DESIGN.md §4, EXPERIMENTS.md), plus micro-benchmarks of the
-// substrates. Run everything with:
+// Benchmark harness: one testing.B benchmark per experiment of the
+// internal/bench registry (bench.All: E1–E19, A1–A4), plus micro-benchmarks
+// of the substrates. Run everything with:
 //
 //	go test -bench=. -benchmem
 //
@@ -360,7 +360,11 @@ func BenchmarkDistributedSweep(b *testing.B) {
 					b.Skip("torus16 all-sources sweep is slow; run without -short")
 				}
 				for i := 0; i < b.N; i++ {
-					if _, err := core.GraphLocalMixingTimeSweep(gr.g, cfg, core.SweepOptions{Workers: workers}); err != nil {
+					pool, err := core.NewSweepPool(gr.g, cfg, workers)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := pool.Sweep(core.SweepOptions{}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -248,6 +248,9 @@ func TestServerRejectsRetiredSyncField(t *testing.T) {
 		"roundsPerSync":    `{"kind":"walk","steps":4,"cluster":{"roundsPerSync":8}}`,
 		"engine transport": `{"kind":"spread","beta":2,"transport":"engine"}`,
 		"coverage engine":  `{"kind":"coverage","beta":2,"coverage":{"universe":20,"perNode":3,"k":2,"engine":true}}`,
+		"dynamic kind":     `{"kind":"dynamic","mode":"local","churn":{"model":"markov","rate":0.1}}`,
+		"mode on local":    `{"kind":"local","mode":"mixing","churn":{"model":"markov","rate":0.1}}`,
+		"exact on sweep":   `{"kind":"sweep","exact":true}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(
 			`{"graph":{"family":"path","n":8},"task":`+task+`}`))

@@ -1,5 +1,6 @@
 // Command paperbench regenerates every table and figure-equivalent of the
-// paper's evaluation (see DESIGN.md §4 and EXPERIMENTS.md). Each experiment
+// paper's evaluation (the registry in internal/bench, bench.All: E1–E19 and
+// ablations A1–A4; `paperbench -list` prints it). Each experiment
 // prints an aligned table; absolute numbers are simulator-specific, the
 // shapes (who wins, growth rates, approximation factors) are the
 // reproduction targets.
@@ -38,7 +39,7 @@ func main() {
 func run() int {
 	var (
 		scaleFlag = flag.String("scale", "small", "workload scale: small or full")
-		expFlag   = flag.String("exp", "all", "comma-separated experiment ids (E1..E12, A1..A4) or 'all'")
+		expFlag   = flag.String("exp", "all", "comma-separated experiment ids (E1..E19, A1..A4) or 'all'")
 		listFlag  = flag.Bool("list", false, "list experiments and exit")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile (taken after all experiments) to this file")

@@ -23,9 +23,9 @@
 //     — CONGEST-model simulations with honest round/message/bandwidth
 //     accounting — and PushPull (§4, Theorem 3) for partial information
 //     spreading.
-//   - Dynamic networks: DynamicLocalMixingTime, DynamicMixingTime and
-//     DynamicWalk run the same computations under deterministic per-round
-//     edge churn (EdgeMarkovChurn, IntervalChurn, SnapshotChurn), the
+//   - Dynamic networks: every distributed entry point, and DynamicWalk,
+//     runs under deterministic per-round edge churn when given
+//     WithTopology (EdgeMarkovChurn, IntervalChurn, SnapshotChurn, …), the
 //     regime of the dynamic-network follow-on work of Das Sarma, Molla and
 //     Pandurangan.
 //
@@ -34,7 +34,7 @@
 // identical results for every worker count, so parallelism is purely a
 // throughput knob.
 //
-// See examples/quickstart for a five-minute tour, examples/dynamic for the
-// churn modes, and docs/ARCHITECTURE.md for the layer map and the
+// See examples/quickstart for a five-minute tour, examples/dynamic for
+// churned runs, and docs/ARCHITECTURE.md for the layer map and the
 // paper-notation glossary.
 package localmix

@@ -69,14 +69,14 @@ func ExampleDistributedGraphMixingTime() {
 	// sampled 8 of 48 sources, tau_mix = 319
 }
 
-// The dynamic-network mode: Algorithm 2 with the walk evolving under
-// seeded edge-Markov churn. A churn-free model reproduces the static
-// answer; real churn can only displace the walk, never break determinism.
-func ExampleDynamicLocalMixingTime() {
+// A dynamic network: Algorithm 2 with the walk evolving under seeded
+// edge-Markov churn. A churn-free model reproduces the static answer; real
+// churn can only displace the walk, never break determinism.
+func ExampleDistributedLocalMixingTime_churn() {
 	g, _ := localmix.RingOfCliques(8, 12)
 	churn, _ := localmix.EdgeMarkovChurn(g, 1, 0.2, 0.5)
-	res, _ := localmix.DynamicLocalMixingTime(g, 0, 8, 0.15, churn,
-		localmix.WithSeed(1), localmix.WithLazy())
+	res, _ := localmix.DistributedLocalMixingTime(g, 0, 8, 0.15,
+		localmix.WithSeed(1), localmix.WithLazy(), localmix.WithTopology(churn))
 	fmt.Printf("tau under churn = %d with witness size %d\n", res.Tau, res.R)
 	fmt.Printf("edges toggled: %v\n", res.Stats.TopologyChanges > 0)
 	// Output:

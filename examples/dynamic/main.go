@@ -1,6 +1,6 @@
-// Command dynamic demonstrates the dynamic-network mode: the same
-// ring-of-cliques graph is solved by the distributed Algorithm 2 on a
-// static network and under two seeded churn models, and a token walk shows
+// Command dynamic demonstrates distributed runs on dynamic networks: the
+// same ring-of-cliques graph is solved by the distributed Algorithm 2 on a
+// static network and, through WithTopology, under two seeded churn models, and a token walk shows
 // the per-hop cost of edge loss. Everything is deterministic: rerunning
 // prints the same numbers.
 package main
@@ -37,7 +37,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	churned, err := localmix.DynamicLocalMixingTime(g, 0, beta, eps, markov, opts...)
+	churned, err := localmix.DistributedLocalMixingTime(g, 0, beta, eps,
+		append(opts, localmix.WithTopology(markov))...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +51,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	held, err := localmix.DynamicLocalMixingTime(g, 0, beta, eps, interval, opts...)
+	held, err := localmix.DistributedLocalMixingTime(g, 0, beta, eps,
+		append(opts, localmix.WithTopology(interval))...)
 	if err != nil {
 		log.Fatal(err)
 	}

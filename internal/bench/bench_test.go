@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestAllExperimentsRunSmall executes every registered experiment at small
@@ -79,6 +81,38 @@ func TestTableFormatting(t *testing.T) {
 	}
 	if !strings.Contains(out, "1.00e-05") {
 		t.Errorf("small float formatting: %q", out)
+	}
+}
+
+// TestTableAlignsMultiByteLabels: a label with a multi-byte rune (ℓ, τ)
+// must not pull its row's later columns left of the header's.
+func TestTableAlignsMultiByteLabels(t *testing.T) {
+	tab := &Table{ID: "T", Title: "runes", Header: []string{"workload", "n", "rounds"}}
+	tab.Add("estimate-rw(ℓ=64)", 96, 65)
+	tab.Add("algo2", 96, 100)
+	tab.Add("τ", 7, 3)
+	var sb strings.Builder
+	tab.Fprint(&sb)
+	lines := strings.Split(sb.String(), "\n")
+	rows := append([][]string{tab.Header}, tab.Rows...)
+	body := append([]string{lines[1]}, lines[3:3+len(tab.Rows)]...) // header, then rows (skip the rule)
+	var want []int
+	for r, line := range body {
+		var offs []int
+		from := 0
+		for _, cell := range rows[r] {
+			i := strings.Index(line[from:], cell)
+			if i < 0 {
+				t.Fatalf("row %d: cell %q missing from %q", r, cell, line)
+			}
+			offs = append(offs, utf8.RuneCountInString(line[:from+i]))
+			from += i + len(cell)
+		}
+		if want == nil {
+			want = offs
+		} else if !reflect.DeepEqual(offs, want) {
+			t.Errorf("row %q: columns at rune offsets %v, header at %v", line, offs, want)
+		}
 	}
 }
 

@@ -79,7 +79,11 @@ func E17DistributedSweep(sc Scale) (*Table, error) {
 		serial := time.Since(serialStart)
 
 		sweepStart := time.Now()
-		multi, err := core.GraphLocalMixingTimeSweep(w.g, cfg, core.SweepOptions{Workers: workers})
+		pool, err := core.NewSweepPool(w.g, cfg, workers)
+		if err != nil {
+			return nil, err
+		}
+		multi, err := pool.Sweep(core.SweepOptions{})
 		if err != nil {
 			return nil, err
 		}

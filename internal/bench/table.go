@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Scale selects the workload size.
@@ -67,7 +68,8 @@ func fmtFloat(v float64) string {
 	}
 }
 
-// Fprint renders the table with aligned columns.
+// Fprint renders the table with aligned columns, measured in runes so that
+// labels such as ℓ or τ keep every column at one offset.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
 	if t.Note != "" {
@@ -75,12 +77,12 @@ func (t *Table) Fprint(w io.Writer) {
 	}
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(c))
 			}
 		}
 	}
@@ -92,9 +94,7 @@ func (t *Table) Fprint(w io.Writer) {
 			}
 			b.WriteString(c)
 			if i < len(widths) {
-				for p := len(c); p < widths[i]; p++ {
-					b.WriteByte(' ')
-				}
+				b.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c)))
 			}
 		}
 		fmt.Fprintln(w, strings.TrimRight(b.String(), " "))

@@ -117,7 +117,7 @@ func (ps *peerState) graphFor(gs *spec.GraphSpec, self, peers int, kind spec.Kin
 // source selection (already cleared by the coordinator) so every chunk and
 // every repeat sweep of one spec hits the same pool.
 func (ps *peerState) sweepPoolFor(graphKey string, g *graph.Graph, t spec.TaskSpec) (*core.SweepPool, error) {
-	cfg, err := sweepConfig(t)
+	cfg, err := core.TaskConfig(t)
 	if err != nil {
 		return nil, err
 	}
@@ -258,37 +258,29 @@ func runJob(conn net.Conn, enc *json.Encoder, rd *ctrlReader, ps *peerState, m *
 	return <-term
 }
 
-// runClusterTask runs the task as this peer's shard through the same core
-// entry points the in-process service runners use, plus the cluster config.
-// authoritative reports whether this peer owns the source vertex — its
-// result carries the answer; the other peers contribute engine statistics.
+// runClusterTask runs the task as this peer's shard: the config the
+// in-process service runners build (core.TaskConfig), plus the cluster
+// config. authoritative reports whether this peer owns the source vertex —
+// its result carries the answer; the other peers contribute engine
+// statistics.
 func runClusterTask(g *graph.Graph, t spec.TaskSpec, cl *congest.ClusterConfig) (out any, stats *congest.Stats, authoritative bool, err error) {
-	if t.Eps == 0 {
-		t.Eps = spec.DefaultEps // the service normalization, replicated identically on every peer
+	cfg, err := core.TaskConfig(t)
+	if err != nil {
+		return nil, nil, false, err
 	}
+	cfg.Engine.Cluster = cl
 	lo, hi := graph.ShardRange(g.N(), cl.Peer, cl.Peers)
 	authoritative = t.Source >= lo && t.Source < hi
-	opts := append(taskOptions(t), core.WithCluster(cl))
 	switch t.Kind {
 	case spec.KindWalk:
 		var r *core.TokenWalkResult
-		r, err = core.TokenWalk(g, t.Source, t.Steps, opts...)
+		r, err = core.TokenWalk(g, t.Source, t.Steps, func(c *core.Config) { *c = cfg })
 		if r != nil {
 			out, stats = r, r.Stats
 		}
-	case spec.KindMixing:
+	case spec.KindMixing, spec.KindLocal:
 		var r *core.Result
-		r, err = core.MixingTime(g, t.Source, t.Eps, opts...)
-		if r != nil {
-			out, stats = r, r.Stats
-		}
-	case spec.KindLocal:
-		var r *core.Result
-		if t.Exact {
-			r, err = core.ExactLocalMixingTime(g, t.Source, t.Beta, t.Eps, opts...)
-		} else {
-			r, err = core.ApproxLocalMixingTime(g, t.Source, t.Beta, t.Eps, opts...)
-		}
+		r, err = core.Run(g, cfg)
 		if r != nil {
 			out, stats = r, r.Stats
 		}
@@ -296,39 +288,4 @@ func runClusterTask(g *graph.Graph, t spec.TaskSpec, cl *congest.ClusterConfig) 
 		err = fmt.Errorf("cluster: kind %s does not distribute", t.Kind)
 	}
 	return out, stats, authoritative, err
-}
-
-// taskOptions renders the spec's engine knobs as core options — the
-// cluster-relevant subset of the service's option mapping (kept in sync
-// with internal/service taskOptions for the ClusterKinds fields).
-func taskOptions(t spec.TaskSpec) []core.Option {
-	var o []core.Option
-	if t.Lazy {
-		o = append(o, core.WithLazy())
-	}
-	if t.Seed != 0 {
-		o = append(o, core.WithSeed(t.Seed))
-	}
-	if t.C != 0 {
-		o = append(o, core.WithC(t.C))
-	}
-	if t.MaxLength != 0 {
-		o = append(o, core.WithMaxLength(t.MaxLength))
-	}
-	if t.Irregular {
-		o = append(o, core.WithIrregular())
-	}
-	if t.Workers != 0 {
-		o = append(o, core.WithWorkers(t.Workers))
-	}
-	if t.TieBreakBits != 0 {
-		o = append(o, core.WithRandomTieBreak(t.TieBreakBits))
-	}
-	if t.MaxRounds != 0 {
-		o = append(o, core.WithMaxRounds(t.MaxRounds))
-	}
-	if t.RetryBudget != 0 {
-		o = append(o, core.WithRetryBudget(t.RetryBudget))
-	}
-	return o
 }

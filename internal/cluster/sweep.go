@@ -180,41 +180,6 @@ func (c *Coordinator) sweepPeer(p int, pc *peerConn, sources []int, results []*c
 	pc.enc.Encode(ctrlMsg{Type: msgDone}) // best effort: back to idle
 }
 
-// sweepMode resolves the sweep task's per-source algorithm — kept in sync
-// with the internal/service mapping so a peer's pool computes exactly what
-// the single-process runner would.
-func sweepMode(mode string) (core.Mode, error) {
-	switch mode {
-	case "", "approx":
-		return core.ApproxLocal, nil
-	case "exact":
-		return core.ExactLocal, nil
-	case "mixing":
-		return core.MixTime, nil
-	default:
-		return 0, fmt.Errorf("cluster: unknown sweep mode %q", mode)
-	}
-}
-
-// sweepConfig renders the task as the pool's core.Config exactly as the
-// service's sweep runner does: the mode/β/ε literals plus every engine knob
-// from taskOptions, with the service's ε default replicated. Equal configs
-// here and in-process are what make per-source runs byte-identical.
-func sweepConfig(t spec.TaskSpec) (core.Config, error) {
-	if t.Eps == 0 {
-		t.Eps = spec.DefaultEps
-	}
-	mode, err := sweepMode(t.Mode)
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg := core.Config{Mode: mode, Beta: t.Beta, Eps: t.Eps}
-	for _, op := range taskOptions(t) {
-		op(&cfg)
-	}
-	return cfg, nil
-}
-
 // serveSweep is the peer half of the chunk loop: answer each chunk with the
 // pool's results for exactly those sources, until done (or abortive
 // failure). Chunk-local failures are reported in the chunkres message and

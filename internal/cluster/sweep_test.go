@@ -12,7 +12,7 @@ import (
 )
 
 // refSweep computes the single-process reference sweep with exactly the
-// config a peer derives from the task spec (see sweepConfig).
+// config a peer derives from the task spec (see core.TaskConfig).
 func refSweep(t *testing.T, beta, eps float64, seed int64, o core.SweepOptions) *core.MultiResult {
 	t.Helper()
 	g, err := graphSpec.Build()
@@ -21,7 +21,11 @@ func refSweep(t *testing.T, beta, eps float64, seed int64, o core.SweepOptions) 
 	}
 	cfg := core.Config{Mode: core.ApproxLocal, Beta: beta, Eps: eps}
 	core.WithSeed(seed)(&cfg)
-	want, err := core.GraphLocalMixingTimeSweep(g, cfg, o)
+	pool, err := core.NewSweepPool(g, cfg, o.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pool.Sweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/congest"
 	"repro/internal/fixedpoint"
 	"repro/internal/graph"
+	"repro/internal/spec"
 )
 
 // Mode selects which of the paper's algorithms to run.
@@ -83,6 +84,49 @@ type Config struct {
 	// Engine carries the congest engine knobs (seed, workers, bandwidth,
 	// round limit).
 	Engine congest.Config
+}
+
+// TaskConfig maps a task spec onto the Config that runs it. It is the one
+// translation from the job layer's vocabulary to a core run: the service
+// runners and the cluster peers both call it. It resolves the algorithm
+// (KindLocal with or without Exact, KindMixing, or a sweep's Mode), the ε
+// default and every engine knob. Every other kind keeps the zero Mode,
+// which the walk and estimate entry points ignore.
+func TaskConfig(t spec.TaskSpec) (Config, error) {
+	cfg := Config{
+		Source:         t.Source,
+		Beta:           t.Beta,
+		Eps:            t.Eps,
+		Lazy:           t.Lazy,
+		C:              t.C,
+		MaxLength:      t.MaxLength,
+		AllowIrregular: t.Irregular,
+		RetryBudget:    t.RetryBudget,
+		TieBreakBits:   t.TieBreakBits,
+	}
+	if cfg.Eps == 0 {
+		cfg.Eps = spec.DefaultEps
+	}
+	cfg.Engine.Seed, cfg.Engine.Workers, cfg.Engine.MaxRounds = t.Seed, t.Workers, t.MaxRounds
+	switch t.Kind {
+	case spec.KindMixing:
+		cfg.Mode = MixTime
+	case spec.KindLocal:
+		if t.Exact {
+			cfg.Mode = ExactLocal
+		}
+	case spec.KindSweep:
+		switch t.Mode {
+		case "", "approx":
+		case "exact":
+			cfg.Mode = ExactLocal
+		case "mixing":
+			cfg.Mode = MixTime
+		default:
+			return cfg, fmt.Errorf("core: unknown sweep mode %q", t.Mode)
+		}
+	}
+	return cfg, nil
 }
 
 func (c *Config) withDefaults(g *graph.Graph) (Config, error) {

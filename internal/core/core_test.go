@@ -3,12 +3,14 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/exact"
 	"repro/internal/fixedpoint"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/spec"
 )
 
 // testGraphs returns a family of small connected graphs with a designated
@@ -202,5 +204,48 @@ func TestPathLocalVsGlobal(t *testing.T) {
 	}
 	if local.Tau >= global.Tau {
 		t.Errorf("path: local τ=%d should be ≪ global τ=%d", local.Tau, global.Tau)
+	}
+}
+
+// TestTaskConfig pins the one spec-to-config mapping: the algorithm each
+// kind selects, the ε default, and the engine knobs.
+func TestTaskConfig(t *testing.T) {
+	modes := []struct {
+		task spec.TaskSpec
+		want Mode
+	}{
+		{spec.TaskSpec{Kind: spec.KindLocal}, ApproxLocal},
+		{spec.TaskSpec{Kind: spec.KindLocal, Exact: true}, ExactLocal},
+		{spec.TaskSpec{Kind: spec.KindMixing}, MixTime},
+		{spec.TaskSpec{Kind: spec.KindSweep}, ApproxLocal},
+		{spec.TaskSpec{Kind: spec.KindSweep, Mode: "approx"}, ApproxLocal},
+		{spec.TaskSpec{Kind: spec.KindSweep, Mode: "exact"}, ExactLocal},
+		{spec.TaskSpec{Kind: spec.KindSweep, Mode: "mixing"}, MixTime},
+	}
+	for _, c := range modes {
+		cfg, err := TaskConfig(c.task)
+		if err != nil {
+			t.Fatalf("%+v: %v", c.task, err)
+		}
+		if cfg.Mode != c.want {
+			t.Errorf("%+v: mode %s, want %s", c.task, cfg.Mode, c.want)
+		}
+		if cfg.Eps != spec.DefaultEps {
+			t.Errorf("%+v: ε %g, want the default %g", c.task, cfg.Eps, spec.DefaultEps)
+		}
+	}
+	if _, err := TaskConfig(spec.TaskSpec{Kind: spec.KindSweep, Mode: "fast"}); err == nil {
+		t.Error("unknown sweep mode accepted")
+	}
+	cfg, err := TaskConfig(spec.TaskSpec{Kind: spec.KindWalk, Source: 3, Beta: 2, Eps: 0.2, Lazy: true,
+		Seed: 7, C: 3, MaxLength: 50, Irregular: true, Workers: 2, TieBreakBits: 4, MaxRounds: 900, RetryBudget: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Config{Source: 3, Beta: 2, Eps: 0.2, Lazy: true, C: 3, MaxLength: 50, AllowIrregular: true,
+		RetryBudget: 5, TieBreakBits: 4}
+	want.Engine.Seed, want.Engine.Workers, want.Engine.MaxRounds = 7, 2, 900
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("knobs mapped to %+v, want %+v", cfg, want)
 	}
 }

@@ -8,10 +8,12 @@
 //   - The exact variant with unit length increments (§3.2, Theorem 2).
 //   - The [18]-style distributed mixing-time computation used as the
 //     baseline the paper compares against (O(τ_mix log n) rounds).
-//   - The dynamic-network extensions (DynamicLocalMixingTime,
-//     DynamicMixingTime, TokenWalk): the same computations with the walk
-//     evolving on a churned topology, following the dynamic-network
-//     random-walk line of Das Sarma, Molla and Pandurangan.
+//   - The token-forwarding random walk (TokenWalk), one hop per round.
+//
+// Every computation also runs on a dynamic network (WithTopology), following
+// the dynamic-network random-walk line of Das Sarma, Molla and Pandurangan;
+// see "Dynamic networks" below. TaskConfig maps a job-layer task spec onto
+// the Config of one run.
 //
 // Each algorithm is realized by two congest.Process implementations: a
 // generic responder (node.go) run by every vertex, and a driver (driver.go)

@@ -36,7 +36,7 @@ func TestDynamicLocalMixingTimeDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) *Result {
-		res, err := DynamicLocalMixingTime(g, 0, 4, dynEps, churn,
+		res, err := ApproxLocalMixingTime(g, 0, 4, dynEps, WithTopology(churn),
 			WithSeed(3), WithLazy(), WithIrregular(), WithWorkers(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -64,7 +64,7 @@ func TestDynamicChurnFreeMatchesStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := DynamicLocalMixingTime(g, 0, 4, dynEps, still, WithSeed(3), WithLazy(), WithIrregular())
+	dyn, err := ApproxLocalMixingTime(g, 0, 4, dynEps, WithTopology(still), WithSeed(3), WithLazy(), WithIrregular())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestDynamicMixingTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) *Result {
-		res, err := DynamicMixingTime(g, 0, dynEps, churn, WithSeed(5), WithLazy(), WithWorkers(workers))
+		res, err := MixingTime(g, 0, dynEps, WithTopology(churn), WithSeed(5), WithLazy(), WithWorkers(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -106,18 +106,6 @@ func TestDynamicMixingTime(t *testing.T) {
 	}
 	if got := run(2); !reflect.DeepEqual(got, ref) {
 		t.Errorf("workers=2: dynamic mixing result diverged")
-	}
-}
-
-// TestDynamicRejectsNilProvider: the Dynamic entry points demand a churn
-// model.
-func TestDynamicRejectsNilProvider(t *testing.T) {
-	g := ringCliques(t, 4, 6)
-	if _, err := DynamicLocalMixingTime(g, 0, 4, dynEps, nil, WithIrregular()); err == nil {
-		t.Error("nil provider accepted by DynamicLocalMixingTime")
-	}
-	if _, err := DynamicMixingTime(g, 0, dynEps, nil); err == nil {
-		t.Error("nil provider accepted by DynamicMixingTime")
 	}
 }
 
@@ -134,7 +122,7 @@ func TestChurnedSweepDeterministic(t *testing.T) {
 	cfg.Engine.Seed = 2
 	cfg.Engine.Topology = churn
 	run := func(workers int) *MultiResult {
-		multi, err := GraphLocalMixingTimeSweep(g, cfg, SweepOptions{Workers: workers})
+		multi, err := sweepOnce(g, cfg, SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -164,7 +164,7 @@ func TestDynamicLocalMixingUnderBoundaryAttack(t *testing.T) {
 	// and a singleton witness set at the backbone root has no cuttable
 	// boundary.
 	run := func(workers int) *Result {
-		res, err := DynamicLocalMixingTime(g, 0, 2, dynEps, attack,
+		res, err := ApproxLocalMixingTime(g, 0, 2, dynEps, WithTopology(attack),
 			WithSeed(3), WithLazy(), WithWorkers(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

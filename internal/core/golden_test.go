@@ -107,7 +107,7 @@ func goldenCases() []goldenCase {
 				if err != nil {
 					return nil, err
 				}
-				return DynamicLocalMixingTime(g, 0, 4, dynEps, churn, WithSeed(3), WithLazy(), WithIrregular())
+				return ApproxLocalMixingTime(g, 0, 4, dynEps, WithTopology(churn), WithSeed(3), WithLazy(), WithIrregular())
 			}},
 		goldenCase{name: "ringcliques4x8/approx/tiebreak", graph: "ringcliques4x8",
 			run: func(g *graph.Graph) (*Result, error) {

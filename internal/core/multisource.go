@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 
 	"repro/internal/congest"
@@ -123,40 +122,4 @@ func mergeSweep(out *sweep.Outcome[*Result]) *MultiResult {
 		}
 	}
 	return m
-}
-
-// GraphLocalMixingTime runs the configured local-mixing algorithm from each
-// given source (every vertex when sources is nil) in parallel and returns
-// the maximum — the distributed analogue of Definition 2's τ(β,ε). cfg.Mode
-// must be ApproxLocal or ExactLocal; cfg.Source is ignored. It is shorthand
-// for GraphLocalMixingTimeSweep with default sweep options.
-func GraphLocalMixingTime(g *graph.Graph, cfg Config, sources []int) (*MultiResult, error) {
-	return GraphLocalMixingTimeSweep(g, cfg, SweepOptions{Sources: sources})
-}
-
-// GraphLocalMixingTimeSweep is GraphLocalMixingTime with full sweep control
-// (worker count, source sampling). One-shot; repeated sweeps should hold a
-// SweepPool.
-func GraphLocalMixingTimeSweep(g *graph.Graph, cfg Config, o SweepOptions) (*MultiResult, error) {
-	if cfg.Mode == MixTime {
-		return nil, fmt.Errorf("core: GraphLocalMixingTime needs a local-mixing mode, got %s", cfg.Mode)
-	}
-	return runSweep(g, cfg, o)
-}
-
-// GraphMixingTime sweeps the [18]-style distributed mixing-time computation
-// over the selected sources: the graph-wide τ_mix(ε) = max_s τ_mix_s(ε)
-// with full round/message/bit accounting. cfg.Mode is forced to MixTime;
-// cfg.Beta and cfg.Source are ignored.
-func GraphMixingTime(g *graph.Graph, cfg Config, o SweepOptions) (*MultiResult, error) {
-	cfg.Mode = MixTime
-	return runSweep(g, cfg, o)
-}
-
-func runSweep(g *graph.Graph, cfg Config, o SweepOptions) (*MultiResult, error) {
-	sp, err := NewSweepPool(g, cfg, o.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return sp.Sweep(o)
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/exact"
 	"repro/internal/fixedpoint"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/sweep"
 )
 
@@ -17,7 +18,7 @@ func TestGraphLocalMixingTimeAllSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Mode: ExactLocal, Beta: 3, Eps: 0.1}
-	multi, err := GraphLocalMixingTime(g, cfg, nil)
+	multi, err := sweepOnce(g, cfg, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +51,14 @@ func TestGraphLocalMixingTimeSampled(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Mode: ApproxLocal, Beta: 3, Eps: 0.1}
-	multi, err := GraphLocalMixingTime(g, cfg, []int{0, 7, 12})
+	multi, err := sweepOnce(g, cfg, SweepOptions{Sources: []int{0, 7, 12}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(multi.Results) != 3 {
 		t.Fatalf("results %d", len(multi.Results))
 	}
-	full, err := GraphLocalMixingTime(g, cfg, nil)
+	full, err := sweepOnce(g, cfg, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	cfg := Config{Mode: ApproxLocal, Beta: 3, Eps: 0.1, TieBreakBits: 4}
 	cfg.Engine.Seed = 1234
-	ref, err := GraphLocalMixingTimeSweep(g, cfg, SweepOptions{Workers: 1})
+	ref, err := sweepOnce(g, cfg, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("aggregate counters missing: %+v", ref)
 	}
 	for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
-		got, err := GraphLocalMixingTimeSweep(g, cfg, SweepOptions{Workers: w})
+		got, err := sweepOnce(g, cfg, SweepOptions{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestSweepMatchesSerialDerivedSeeds(t *testing.T) {
 	const base = 77
 	cfg := Config{Mode: ExactLocal, Beta: 3, Eps: 0.1, TieBreakBits: 3}
 	cfg.Engine.Seed = base
-	multi, err := GraphLocalMixingTime(g, cfg, []int{0, 5, 11})
+	multi, err := sweepOnce(g, cfg, SweepOptions{Sources: []int{0, 5, 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestSweepMatchesSerialDerivedSeeds(t *testing.T) {
 		}
 	}
 	// End-to-end reproducibility of the whole sweep under a fixed base seed.
-	again, err := GraphLocalMixingTime(g, cfg, []int{0, 5, 11})
+	again, err := sweepOnce(g, cfg, SweepOptions{Sources: []int{0, 5, 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +206,9 @@ func TestGraphMixingTimeSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Eps: 0.25}
+	cfg := Config{Mode: MixTime, Eps: 0.25}
 	cfg.Engine.Seed = 9
-	multi, err := GraphMixingTime(g, cfg, SweepOptions{})
+	multi, err := sweepOnce(g, cfg, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,6 @@ func TestGraphMixingTimeSweep(t *testing.T) {
 	var msgs, bits int64
 	for _, s := range multi.Sources {
 		runCfg := cfg
-		runCfg.Mode = MixTime
 		runCfg.Source = s
 		runCfg.Engine.Seed = sweep.DeriveSeed(9, s)
 		res, err := Run(g, runCfg)
@@ -244,13 +244,20 @@ func TestGraphMixingTimeSweep(t *testing.T) {
 
 func TestGraphLocalMixingTimeValidation(t *testing.T) {
 	g, _ := gen.Complete(8)
-	if _, err := GraphLocalMixingTime(g, Config{Mode: MixTime, Eps: 0.1}, nil); err == nil {
-		t.Error("MixTime mode accepted")
-	}
-	if _, err := GraphLocalMixingTime(g, Config{Mode: ExactLocal, Beta: 2, Eps: 0.1}, []int{}); err == nil {
+	cfg := Config{Mode: ExactLocal, Beta: 2, Eps: 0.1}
+	if _, err := sweepOnce(g, cfg, SweepOptions{Sources: []int{}}); err == nil {
 		t.Error("empty sources accepted")
 	}
-	if _, err := GraphLocalMixingTime(g, Config{Mode: ExactLocal, Beta: 2, Eps: 0.1}, []int{99}); err == nil {
+	if _, err := sweepOnce(g, cfg, SweepOptions{Sources: []int{99}}); err == nil {
 		t.Error("bad source accepted")
 	}
+}
+
+// sweepOnce runs one sweep on a fresh pool sized by o.Workers.
+func sweepOnce(g *graph.Graph, cfg Config, o SweepOptions) (*MultiResult, error) {
+	sp, err := NewSweepPool(g, cfg, o.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return sp.Sweep(o)
 }

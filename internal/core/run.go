@@ -140,39 +140,6 @@ func MixingTime(g *graph.Graph, source int, eps float64, opts ...Option) (*Resul
 	return Run(g, cfg)
 }
 
-// DynamicLocalMixingTime runs Algorithm 2 on a dynamic network: the walk
-// mass floods over the per-round active topology chosen by the churn
-// provider (see internal/dyngraph), while the control plane — BFS tree,
-// census, aggregations — rides the static superset out of band. The
-// computed τ is the earliest ℓ at which the ℓ-step *dynamic* walk passes
-// the paper's 4ε local-mixing test against the uniform 1/R targets; with a
-// churn-free provider it coincides with the static τ_s(β, ε). Deterministic
-// for fixed (engine seed, provider seed) and any worker count.
-func DynamicLocalMixingTime(g *graph.Graph, source int, beta, eps float64, churn congest.TopologyProvider, opts ...Option) (*Result, error) {
-	return dynamicRun(g, Config{Mode: ApproxLocal, Source: source, Beta: beta, Eps: eps}, churn, opts)
-}
-
-// DynamicMixingTime is the [18]-style mixing-time computation on a dynamic
-// network: the walk evolves on the churned topology while the ε test
-// compares against the *superset's* stationary distribution π — the natural
-// fixed reference for measuring how churn displaces the walk. (Experiment
-// E18 makes the analogous static-vs-churned comparison for Algorithm 2's
-// local τ.)
-func DynamicMixingTime(g *graph.Graph, source int, eps float64, churn congest.TopologyProvider, opts ...Option) (*Result, error) {
-	return dynamicRun(g, Config{Mode: MixTime, Source: source, Eps: eps}, churn, opts)
-}
-
-func dynamicRun(g *graph.Graph, cfg Config, churn congest.TopologyProvider, opts []Option) (*Result, error) {
-	if churn == nil {
-		return nil, fmt.Errorf("core: dynamic %s run needs a topology provider", cfg.Mode)
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	cfg.Engine.Topology = churn
-	return Run(g, cfg)
-}
-
 // Option mutates a Config in the convenience constructors.
 type Option func(*Config)
 
@@ -219,15 +186,4 @@ func WithRetryBudget(n int) Option { return func(c *Config) { c.RetryBudget = n 
 // is the default).
 func WithRandomTieBreak(bits int) Option {
 	return func(c *Config) { c.TieBreakBits = bits }
-}
-
-// WithCluster makes the run one peer of a multi-process cluster
-// (congest.ClusterConfig): this process computes only the peer's vertex
-// range and exchanges round traffic through the config's fabric. The peer
-// owning the source returns the full Result; the others return a Result
-// carrying only their engine statistics. The determinism contract makes
-// the merged outcome identical to the single-process run with the same
-// seed. Used by the internal/cluster peer runtime.
-func WithCluster(cl *congest.ClusterConfig) Option {
-	return func(c *Config) { c.Engine.Cluster = cl }
 }

@@ -70,14 +70,19 @@ func newResultCache(capEntries int, ctr *counters) *ResultCache {
 
 // resultKey renders the canonical key of a normalized task over a graph.
 // The task must already carry its resolved seed and filled defaults
-// (Service.normalize); the schedule-only fields — Workers, SweepWorkers,
-// DeadlineMS, Cluster — are zeroed out, exactly as the derived-seed hashing
-// zeroes them, because they never change a completed result (for Cluster,
-// that is the determinism contract of internal/cluster).
+// (Service.normalize).
 func resultKey(graphKey string, t spec.TaskSpec) string {
+	return graphKey + "|" + withoutSchedule(t).Key()
+}
+
+// withoutSchedule zeroes the schedule-only fields — Workers, SweepWorkers,
+// DeadlineMS, Cluster — for the derived-seed hash and the result key alike:
+// they never change a completed result (for Cluster, that is the
+// determinism contract of internal/cluster).
+func withoutSchedule(t spec.TaskSpec) spec.TaskSpec {
 	t.Workers, t.SweepWorkers, t.DeadlineMS = 0, 0, 0
 	t.Cluster = nil
-	return graphKey + "|" + t.Key()
+	return t
 }
 
 // lookup serves a memoized result if one exists, refreshing its LRU

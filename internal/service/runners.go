@@ -43,16 +43,13 @@ func registerBuiltins(r *Registry) {
 		runOracleGraphLocal)
 	r.Register(spec.KindMixing,
 		"distributed [18]-style mixing time (= localmix.DistributedMixingTime)",
-		runMixing)
+		runDistributed)
 	r.Register(spec.KindLocal,
 		"distributed Algorithm 2 / §3.2-exact local mixing time (= localmix.Distributed(Exact)LocalMixingTime)",
-		runLocal)
+		runDistributed)
 	r.Register(spec.KindSweep,
 		"parallel multi-source distributed sweep, warm pools (= localmix.DistributedGraph*MixingTime)",
 		runSweep)
-	r.Register(spec.KindDynamic,
-		"distributed run on a churned network (= localmix.Dynamic(Local)MixingTime)",
-		runDynamic)
 	r.Register(spec.KindWalk,
 		"token-forwarding random walk, one hop per round (= localmix.DynamicWalk)",
 		runWalk)
@@ -70,50 +67,22 @@ func registerBuiltins(r *Registry) {
 		runCoverage)
 }
 
-// taskOptions renders the spec's engine knobs as the facade's functional
-// options. Zero spec fields emit no option, so a facade invocation (all
-// knobs in Invocation.Opts, zero Task fields) composes to exactly the
-// caller's option list.
-func taskOptions(t spec.TaskSpec) []core.Option {
-	var o []core.Option
-	if t.Lazy {
-		o = append(o, core.WithLazy())
+// runConfig maps the invocation onto its core run: the task's config
+// (core.TaskConfig), then the facade's options, then the resolved churn
+// provider. A facade invocation carries zero Task knobs, so its run is
+// exactly the caller's option list.
+func runConfig(inv *Invocation) (core.Config, error) {
+	cfg, err := core.TaskConfig(inv.Task)
+	if err != nil {
+		return cfg, err
 	}
-	if t.Seed != 0 {
-		o = append(o, core.WithSeed(t.Seed))
+	for _, op := range inv.Opts {
+		op(&cfg)
 	}
-	if t.C != 0 {
-		o = append(o, core.WithC(t.C))
-	}
-	if t.MaxLength != 0 {
-		o = append(o, core.WithMaxLength(t.MaxLength))
-	}
-	if t.Irregular {
-		o = append(o, core.WithIrregular())
-	}
-	if t.Workers != 0 {
-		o = append(o, core.WithWorkers(t.Workers))
-	}
-	if t.TieBreakBits != 0 {
-		o = append(o, core.WithRandomTieBreak(t.TieBreakBits))
-	}
-	if t.MaxRounds != 0 {
-		o = append(o, core.WithMaxRounds(t.MaxRounds))
-	}
-	if t.RetryBudget != 0 {
-		o = append(o, core.WithRetryBudget(t.RetryBudget))
-	}
-	return o
-}
-
-// distOptions merges the Task-derived options with the facade overrides
-// and the resolved churn provider.
-func distOptions(inv *Invocation) []core.Option {
-	opts := append(taskOptions(inv.Task), inv.Opts...)
 	if inv.Churn != nil {
-		opts = append(opts, core.WithTopology(inv.Churn))
+		cfg.Engine.Topology = inv.Churn
 	}
-	return opts
+	return cfg, nil
 }
 
 // localOptions renders the centralized-oracle options from the spec, or
@@ -193,31 +162,22 @@ func runOracleGraphLocal(inv *Invocation) (any, error) {
 	return exact.GraphLocalMixingKernel(inv.Context(), g, k, t.Beta, t.Eps, o, t.Sources)
 }
 
-func runMixing(inv *Invocation) (any, error) {
-	t := inv.Task
-	return core.MixingTime(inv.Env.Graph(), t.Source, t.Eps, distOptions(inv)...)
-}
-
-func runLocal(inv *Invocation) (any, error) {
-	t := inv.Task
-	if t.Exact {
-		return core.ExactLocalMixingTime(inv.Env.Graph(), t.Source, t.Beta, t.Eps, distOptions(inv)...)
+// runDistributed runs the local and mixing kinds; core.TaskConfig has
+// already picked the algorithm.
+func runDistributed(inv *Invocation) (any, error) {
+	cfg, err := runConfig(inv)
+	if err != nil {
+		return nil, err
 	}
-	return core.ApproxLocalMixingTime(inv.Env.Graph(), t.Source, t.Beta, t.Eps, distOptions(inv)...)
-}
-
-func runDynamic(inv *Invocation) (any, error) {
-	t := inv.Task
-	opts := append(taskOptions(t), inv.Opts...)
-	if t.Mode == "mixing" {
-		return core.DynamicMixingTime(inv.Env.Graph(), t.Source, t.Eps, inv.Churn, opts...)
-	}
-	return core.DynamicLocalMixingTime(inv.Env.Graph(), t.Source, t.Beta, t.Eps, inv.Churn, opts...)
+	return core.Run(inv.Env.Graph(), cfg)
 }
 
 func runWalk(inv *Invocation) (any, error) {
-	t := inv.Task
-	res, err := core.TokenWalk(inv.Env.Graph(), t.Source, t.Steps, distOptions(inv)...)
+	cfg, err := runConfig(inv)
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.TokenWalk(inv.Env.Graph(), cfg.Source, inv.Task.Steps, func(c *core.Config) { *c = cfg })
 	if err != nil {
 		return nil, err
 	}
@@ -228,39 +188,19 @@ func runWalk(inv *Invocation) (any, error) {
 }
 
 func runEstimate(inv *Invocation) (any, error) {
-	t := inv.Task
-	cfg := core.Config{Lazy: t.Lazy, C: t.C}
-	cfg.Engine.MaxRounds, cfg.Engine.Workers = t.MaxRounds, t.Workers
-	return core.EstimateRWProbability(inv.Env.Graph(), t.Source, t.Steps, cfg)
-}
-
-// sweepMode resolves the sweep kind's per-source algorithm.
-func sweepMode(mode string) (core.Mode, error) {
-	switch mode {
-	case "", "approx":
-		return core.ApproxLocal, nil
-	case "exact":
-		return core.ExactLocal, nil
-	case "mixing":
-		return core.MixTime, nil
-	default:
-		return 0, fmt.Errorf("service: unknown sweep mode %q", mode)
-	}
-}
-
-func runSweep(inv *Invocation) (any, error) {
-	t := inv.Task
-	mode, err := sweepMode(t.Mode)
+	cfg, err := runConfig(inv)
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config{Mode: mode, Beta: t.Beta, Eps: t.Eps}
-	for _, op := range append(taskOptions(t), inv.Opts...) {
-		op(&cfg)
+	return core.EstimateRWProbability(inv.Env.Graph(), cfg.Source, inv.Task.Steps, cfg)
+}
+
+func runSweep(inv *Invocation) (any, error) {
+	cfg, err := runConfig(inv)
+	if err != nil {
+		return nil, err
 	}
-	if inv.Churn != nil {
-		cfg.Engine.Topology = inv.Churn
-	}
+	t := inv.Task
 	o := core.SweepOptions{Workers: t.SweepWorkers, Sources: t.Sources, Sample: t.Sample}
 	if inv.SweepOpts != nil {
 		o = *inv.SweepOpts

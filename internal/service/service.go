@@ -378,15 +378,18 @@ func (s *Service) runCluster(ctx context.Context, gs spec.GraphSpec, task spec.T
 	return res, nil
 }
 
-// normalize fills the spec-path defaults: ε, the oracle step budget, and —
-// when the request omits a seed — the deterministic per-request seed
-// derived from the service base seed and the request content, so identical
-// requests repeat identically while distinct requests draw uncorrelated
-// randomness.
+// normalize fills the spec-path defaults: ε, the sweep mode (the default
+// "approx" is spelled ""), the oracle step budget, and — when the request
+// omits a seed — the deterministic per-request seed derived from the
+// service base seed and the request content, so identical requests repeat
+// identically while distinct requests draw uncorrelated randomness.
 func (s *Service) normalize(req Request, n int) spec.TaskSpec {
 	t := req.Task
 	if t.Eps == 0 {
 		t.Eps = spec.DefaultEps
+	}
+	if t.Kind == spec.KindSweep && t.Mode == "approx" {
+		t.Mode = ""
 	}
 	switch t.Kind {
 	case spec.KindOracleMixing, spec.KindOracleLocal, spec.KindOracleGraphMixing, spec.KindOracleGraphLocal:
@@ -395,17 +398,13 @@ func (s *Service) normalize(req Request, n int) spec.TaskSpec {
 		}
 	}
 	if t.Seed == 0 {
-		// Hash the request content minus the schedule-only fields: the
-		// whole stack guarantees results are worker-invariant, so two
-		// requests differing only in Workers/SweepWorkers/DeadlineMS must
-		// derive the same seed (and therefore the same results).
-		hashed := t
-		hashed.Workers, hashed.SweepWorkers, hashed.DeadlineMS = 0, 0, 0
-		hashed.Cluster = nil // schedule-only, like Workers: same results either way
+		// Hash the request content minus the schedule-only fields, so two
+		// requests differing only in how they are scheduled derive the same
+		// seed (and therefore the same results).
 		h := fnv.New64a()
 		h.Write([]byte(req.Graph.Key()))
 		h.Write([]byte{'|'})
-		h.Write([]byte(hashed.Key()))
+		h.Write([]byte(withoutSchedule(t).Key()))
 		t.Seed = sweep.DeriveSeed(s.opts.BaseSeed^int64(h.Sum64()), 0)
 	}
 	return t

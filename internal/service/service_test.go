@@ -111,7 +111,11 @@ func TestRunMatchesDirectCalls(t *testing.T) {
 		}
 		cfg := core.Config{Mode: core.MixTime, Eps: 0.1}
 		cfg.Engine.Seed = 5
-		want, err := core.GraphMixingTime(g, cfg, core.SweepOptions{Workers: 2, Sample: 4})
+		pool, err := core.NewSweepPool(g, cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := pool.Sweep(core.SweepOptions{Sample: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +359,7 @@ func TestRunValidation(t *testing.T) {
 	cases := []Request{
 		{Graph: spec.GraphSpec{Family: "moebius"}, Task: spec.TaskSpec{Kind: spec.KindMixing}},
 		{Graph: ringSpec, Task: spec.TaskSpec{Kind: "teleport"}},
-		{Graph: ringSpec, Task: spec.TaskSpec{Kind: spec.KindDynamic}}, // churn missing
+		{Graph: ringSpec, Task: spec.TaskSpec{Kind: "dynamic"}}, // retired: churn is a property of the network
 	}
 	for _, req := range cases {
 		_, err := svc.Run(context.Background(), req)
@@ -408,5 +412,25 @@ func TestTasksListsEveryBuiltinKind(t *testing.T) {
 		if !seen[k] {
 			t.Errorf("kind %s not registered", k)
 		}
+	}
+}
+
+// TestSweepDefaultModeOneSpelling: a sweep's default mode may be left empty
+// or spelled "approx". Both spellings are one request: one derived seed,
+// one result, one result-cache entry.
+func TestSweepDefaultModeOneSpelling(t *testing.T) {
+	svc := New(Options{})
+	req := Request{Graph: ringSpec, Task: spec.TaskSpec{Kind: spec.KindSweep, Beta: 4, Eps: 0.1, Sample: 3}}
+	plain := mustRun(t, svc, req)
+	req.Task.Mode = "approx"
+	spelled := mustRun(t, svc, req)
+	if spelled.Seed != plain.Seed {
+		t.Fatalf("mode \"approx\" derived seed %d, mode \"\" derived %d", spelled.Seed, plain.Seed)
+	}
+	if !reflect.DeepEqual(spelled.Result, plain.Result) {
+		t.Fatal("the two spellings of the default sweep mode computed different results")
+	}
+	if !spelled.ResultHit {
+		t.Fatal("mode \"approx\" missed the result cache entry of mode \"\"")
 	}
 }

@@ -152,9 +152,15 @@ func TestTaskSpecValidate(t *testing.T) {
 		{"known kind", TaskSpec{Kind: KindMixing}, true},
 		{"unknown kind", TaskSpec{Kind: "teleport"}, false},
 		{"bad eps", TaskSpec{Kind: KindMixing, Eps: 1.5}, false},
-		{"dynamic needs churn", TaskSpec{Kind: KindDynamic}, false},
-		{"dynamic with churn", TaskSpec{Kind: KindDynamic, Churn: &ChurnSpec{Model: "markov"}}, true},
-		{"bad dynamic mode", TaskSpec{Kind: KindDynamic, Mode: "sideways", Churn: &ChurnSpec{Model: "markov"}}, false},
+		{"retired dynamic kind", TaskSpec{Kind: "dynamic", Churn: &ChurnSpec{Model: "markov"}}, false},
+		{"local with churn", TaskSpec{Kind: KindLocal, Churn: &ChurnSpec{Model: "markov"}}, true},
+		{"mode on local", TaskSpec{Kind: KindLocal, Mode: "mixing"}, false},
+		{"mode on mixing", TaskSpec{Kind: KindMixing, Mode: "mixing"}, false},
+		{"mode on walk", TaskSpec{Kind: KindWalk, Mode: "approx"}, false},
+		{"exact on local", TaskSpec{Kind: KindLocal, Exact: true}, true},
+		{"exact on sweep", TaskSpec{Kind: KindSweep, Exact: true}, false},
+		{"exact on mixing", TaskSpec{Kind: KindMixing, Exact: true}, false},
+		{"sweep mode exact", TaskSpec{Kind: KindSweep, Mode: "exact"}, true},
 		{"churn on oracle", TaskSpec{Kind: KindOracleMixing, Churn: &ChurnSpec{Model: "markov"}}, false},
 		{"bad churn model", TaskSpec{Kind: KindMixing, Churn: &ChurnSpec{Model: "quantum"}}, false},
 		{"bad sweep mode", TaskSpec{Kind: KindSweep, Mode: "fast"}, false},
@@ -206,10 +212,7 @@ func TestKindsAreValid(t *testing.T) {
 		}
 		seen[k] = true
 		ts := TaskSpec{Kind: k}
-		switch k {
-		case KindDynamic:
-			ts.Churn = &ChurnSpec{Model: "markov"}
-		case KindCoverage:
+		if k == KindCoverage {
 			ts.Coverage = &CoverageSpec{Universe: 10, PerNode: 2, K: 2}
 		}
 		if err := ts.Validate(); err != nil {

@@ -34,9 +34,6 @@ const (
 	// KindSweep is the parallel multi-source distributed sweep; Mode
 	// selects approx, exact, or mixing per-source runs.
 	KindSweep Kind = "sweep"
-	// KindDynamic is a distributed run on a churned network; Mode selects
-	// local (Algorithm 2) or mixing. Requires Churn.
-	KindDynamic Kind = "dynamic"
 	// KindWalk is the token-forwarding random walk (one hop per round),
 	// optionally under churn.
 	KindWalk Kind = "walk"
@@ -57,8 +54,7 @@ func Kinds() []Kind {
 	return []Kind{
 		KindOracleMixing, KindOracleLocal, KindOracleGraphMixing,
 		KindOracleGraphLocal, KindMixing, KindLocal, KindSweep,
-		KindDynamic, KindWalk, KindEstimate, KindSpread, KindLeader,
-		KindCoverage,
+		KindWalk, KindEstimate, KindSpread, KindLeader, KindCoverage,
 	}
 }
 
@@ -143,8 +139,8 @@ type TaskSpec struct {
 	Lazy bool `json:"lazy,omitempty"`
 	// Exact selects the §3.2 exact variant for KindLocal.
 	Exact bool `json:"exact,omitempty"`
-	// Mode refines KindSweep (approx|exact|mixing, default approx) and
-	// KindDynamic (local|mixing, default local).
+	// Mode selects KindSweep's per-source algorithm (approx|exact|mixing,
+	// default approx).
 	Mode string `json:"mode,omitempty"`
 	// MaxT is the centralized oracles' step budget (0 = 8n²).
 	MaxT int `json:"maxT,omitempty"`
@@ -198,8 +194,7 @@ type TaskSpec struct {
 	// Transport selects the spread implementation: local (direct LOCAL
 	// simulator, the default) or congest.
 	Transport string `json:"transport,omitempty"`
-	// Churn attaches a dynamic-network churn model (distributed kinds;
-	// required for KindDynamic).
+	// Churn attaches a dynamic-network churn model (distributed kinds).
 	Churn *ChurnSpec `json:"churn,omitempty"`
 	// Cluster runs the task on the service's attached peer cluster
 	// (KindLocal, KindMixing, KindWalk, KindSweep; incompatible with
@@ -220,8 +215,7 @@ var knownKinds = func() map[Kind]bool {
 
 // distributedKinds accept a churn model.
 var distributedKinds = map[Kind]bool{
-	KindMixing: true, KindLocal: true, KindSweep: true,
-	KindDynamic: true, KindWalk: true,
+	KindMixing: true, KindLocal: true, KindSweep: true, KindWalk: true,
 }
 
 // ClusterKinds are the task kinds a peer cluster can compute: the
@@ -281,14 +275,13 @@ func (t TaskSpec) Validate() error {
 			return fmt.Errorf("spec: cluster peers must be 0 (all registered) or ≥ 2, got %d", p)
 		}
 	}
+	if t.Mode != "" && t.Kind != KindSweep {
+		return fmt.Errorf("spec: mode selects a %s algorithm; kind %s takes none", KindSweep, t.Kind)
+	}
+	if t.Exact && t.Kind != KindLocal {
+		return fmt.Errorf("spec: exact selects the §3.2 variant of kind %s, not %s", KindLocal, t.Kind)
+	}
 	switch t.Kind {
-	case KindDynamic:
-		if t.Churn == nil {
-			return fmt.Errorf("spec: kind %s requires a churn model", t.Kind)
-		}
-		if m := t.Mode; m != "" && m != "local" && m != "mixing" {
-			return fmt.Errorf("spec: dynamic mode must be local or mixing, got %q", m)
-		}
 	case KindSweep:
 		if m := t.Mode; m != "" && m != "approx" && m != "exact" && m != "mixing" {
 			return fmt.Errorf("spec: sweep mode must be approx, exact or mixing, got %q", m)

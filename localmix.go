@@ -94,17 +94,9 @@ func MixingTime(g *Graph, source int, eps float64, lazy bool, maxT int) (int, er
 // evolving sources in 16-lane batches on the shared walk kernel (one edge
 // pass advances a whole batch) instead of n serial walks.
 func GraphMixingTime(g *Graph, eps float64, lazy bool, maxT int) (int, error) {
-	return GraphMixingTimeWorkers(g, eps, lazy, maxT, 0)
-}
-
-// GraphMixingTimeWorkers is GraphMixingTime with an explicit oracle worker
-// count (≤ 0 means GOMAXPROCS). Like LocalMixingOptions.Workers, the count
-// only changes the schedule: oracle results are bit-identical for every
-// worker count.
-func GraphMixingTimeWorkers(g *Graph, eps float64, lazy bool, maxT, workers int) (int, error) {
 	r, err := call[*service.TauResult](spec.KindOracleGraphMixing, &service.Invocation{
 		Env:  service.DirectEnv(g),
-		Task: spec.TaskSpec{Eps: eps, Lazy: lazy, MaxT: maxT, Workers: workers},
+		Task: spec.TaskSpec{Eps: eps, Lazy: lazy, MaxT: maxT},
 	})
 	if err != nil {
 		return 0, err
@@ -160,7 +152,11 @@ var ErrRetryBudget = core.ErrRetryBudget
 
 // DistributedLocalMixingTime runs the paper's Algorithm 2 (LOCAL-MIXING-
 // TIME) in a simulated CONGEST network: a 2-approximation of τ_s(β, ε) in
-// O(τ_s log²n log_{1+ε}β) rounds (Theorem 1).
+// O(τ_s log²n log_{1+ε}β) rounds (Theorem 1). With WithTopology the walk
+// mass floods over the per-round topology chosen by the churn model while
+// the control plane rides the static superset: the result is the earliest ℓ
+// at which the ℓ-step dynamic walk passes the 4ε local-mixing test, and a
+// churn-free model gives the static answer.
 func DistributedLocalMixingTime(g *Graph, source int, beta, eps float64, opts ...DistributedOption) (*DistributedResult, error) {
 	return call[*DistributedResult](spec.KindLocal, &service.Invocation{
 		Env:  service.DirectEnv(g),
@@ -180,7 +176,9 @@ func DistributedExactLocalMixingTime(g *Graph, source int, beta, eps float64, op
 }
 
 // DistributedMixingTime runs the baseline distributed mixing-time
-// computation ([18]; O(τ_mix log n) rounds).
+// computation ([18]; O(τ_mix log n) rounds). Under WithTopology churn the
+// walk is measured against the superset's stationary distribution, the
+// fixed reference for how far churn displaces it.
 func DistributedMixingTime(g *Graph, source int, eps float64, opts ...DistributedOption) (*DistributedResult, error) {
 	return call[*DistributedResult](spec.KindMixing, &service.Invocation{
 		Env:  service.DirectEnv(g),
@@ -296,35 +294,6 @@ var (
 	// already disconnected).
 	MaxTInterval = dyngraph.MaxTInterval
 )
-
-// DynamicLocalMixingTime runs Algorithm 2 on a dynamic network: the walk
-// mass floods over the per-round topology chosen by the churn model while
-// the control plane rides the static superset. The result is the earliest ℓ
-// at which the ℓ-step dynamic walk passes the 4ε local-mixing test; with a
-// churn-free model it equals DistributedLocalMixingTime's answer. Results
-// are byte-identical for every worker count.
-func DynamicLocalMixingTime(g *Graph, source int, beta, eps float64, churn TopologyProvider, opts ...DistributedOption) (*DistributedResult, error) {
-	return call[*DistributedResult](spec.KindDynamic, &service.Invocation{
-		Env:   service.DirectEnv(g),
-		Task:  spec.TaskSpec{Source: source, Beta: beta, Eps: eps, Mode: "local"},
-		Churn: churn,
-		Opts:  opts,
-	})
-}
-
-// DynamicMixingTime is the [18]-style distributed mixing-time computation
-// under churn, measured against the superset's stationary distribution —
-// the fixed reference for how far churn displaces the walk. (Experiment E18
-// makes the analogous static-vs-churned comparison for the local τ of
-// Algorithm 2.)
-func DynamicMixingTime(g *Graph, source int, eps float64, churn TopologyProvider, opts ...DistributedOption) (*DistributedResult, error) {
-	return call[*DistributedResult](spec.KindDynamic, &service.Invocation{
-		Env:   service.DirectEnv(g),
-		Task:  spec.TaskSpec{Source: source, Eps: eps, Mode: "mixing"},
-		Churn: churn,
-		Opts:  opts,
-	})
-}
 
 // DynamicWalkResult reports a token walk: endpoint, rounds, and the
 // edge-loss retries the churn forced.

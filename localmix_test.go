@@ -3,6 +3,8 @@ package localmix
 import (
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 const eps = 1.0 / (8 * math.E)
@@ -46,6 +48,15 @@ func TestDistributedSweepFacade(t *testing.T) {
 	}
 	if len(exactSweep.Results) != 2 {
 		t.Fatalf("explicit-source sweep: %d results", len(exactSweep.Results))
+	}
+	// Each sweep entry runs its own algorithm per source.
+	for sw, m := range map[*DistributedSweepResult]core.Mode{
+		multi: core.ApproxLocal, mix: core.MixTime, exactSweep: core.ExactLocal} {
+		for _, r := range sw.Results {
+			if r.Mode != m {
+				t.Fatalf("sweep ran %s per source, want %s", r.Mode, m)
+			}
+		}
 	}
 }
 

@@ -80,15 +80,15 @@ func TestServiceRunMatchesFacadeEveryKind(t *testing.T) {
 			func() (any, error) {
 				return DistributedGraphMixingTime(g, eps, SweepOptions{Sources: []int{0, 7, 13}}, WithSeed(seed))
 			}},
-		{"dynamic",
-			spec.TaskSpec{Kind: spec.KindDynamic, Mode: "local", Beta: beta, Eps: eps, Seed: seed,
+		{"local-churn",
+			spec.TaskSpec{Kind: spec.KindLocal, Beta: beta, Eps: eps, Seed: seed,
 				Churn: &spec.ChurnSpec{Model: "markov", Rate: 0.05, On: 0.5, Seed: 3}},
 			func() (any, error) {
 				churn, err := EdgeMarkovChurn(g, 3, 0.05, 0.5)
 				if err != nil {
 					return nil, err
 				}
-				return DynamicLocalMixingTime(g, 0, beta, eps, churn, WithSeed(seed))
+				return DistributedLocalMixingTime(g, 0, beta, eps, WithSeed(seed), WithTopology(churn))
 			}},
 		{"walk",
 			spec.TaskSpec{Kind: spec.KindWalk, Steps: 16, Seed: seed},
