@@ -113,16 +113,15 @@ func (ps *peerState) graphFor(gs *spec.GraphSpec, self, peers int, kind spec.Kin
 }
 
 // sweepPoolFor returns the warm sweep pool for (graph, task), building it
-// like the service's sweep runner does. The cache key strips the per-sweep
-// source selection (already cleared by the coordinator) so every chunk and
-// every repeat sweep of one spec hits the same pool.
+// like the service's sweep runner does. The cache key is the pool's config
+// (core.PoolKey), so every chunk and every repeat sweep of one spec hits
+// the same pool, whatever its source selection or deadline.
 func (ps *peerState) sweepPoolFor(graphKey string, g *graph.Graph, t spec.TaskSpec) (*core.SweepPool, error) {
 	cfg, err := core.TaskConfig(t)
 	if err != nil {
 		return nil, err
 	}
-	t.Cluster = nil
-	key := graphKey + "|" + t.Key()
+	key := graphKey + "|" + core.PoolKey(cfg, t.SweepWorkers)
 	if p := ps.pools[key]; p != nil {
 		return p, nil
 	}

@@ -257,3 +257,27 @@ func TestResolveSourcesMatchesPool(t *testing.T) {
 		t.Fatal("out-of-range source accepted")
 	}
 }
+
+// TestPeerSweepPoolIgnoresDeadline: a deadline is schedule-only, so two
+// chunks of one sweep spec that differ only in deadlineMS must share the
+// peer's warm pool instead of building a second one.
+func TestPeerSweepPoolIgnoresDeadline(t *testing.T) {
+	g, err := graphSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := &peerState{pools: map[string]*core.SweepPool{}}
+	task := spec.TaskSpec{Kind: spec.KindSweep, Beta: 4, Eps: 0.1, Seed: 7, SweepWorkers: 2}
+	first, err := ps.sweepPoolFor(graphSpec.Key(), g, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task.DeadlineMS = 5000
+	second, err := ps.sweepPoolFor(graphSpec.Key(), g, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second || len(ps.pools) != 1 {
+		t.Fatalf("deadlineMS built a second pool (%d pools)", len(ps.pools))
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 
 	"repro/internal/congest"
@@ -50,6 +51,18 @@ type MultiResult struct {
 type SweepPool struct {
 	prep *prepared
 	pool *sweep.Pool[*Result]
+}
+
+// PoolKey renders the canonical key of the pool NewSweepPool(g, c, workers)
+// builds: everything in c that selects the pool's algorithm, parameters and
+// seeds, plus the worker count. It leaves out c.Source, which the pool
+// ignores, and the churn provider, which a caller that attaches one keys
+// itself.
+func PoolKey(c Config, workers int) string {
+	return fmt.Sprintf("m=%v/b=%g/e=%g/lazy=%t/c=%d/ml=%d/tb=%d/irr=%t/seed=%d/ew=%d/mr=%d/bw=%d/w=%d",
+		c.Mode, c.Beta, c.Eps, c.Lazy, c.C, c.MaxLength, c.TieBreakBits,
+		c.AllowIrregular, c.Engine.Seed, c.Engine.Workers, c.Engine.MaxRounds,
+		c.Engine.BandwidthBits, workers)
 }
 
 // NewSweepPool validates the config (cfg.Source is ignored; cfg.Mode may be

@@ -8,11 +8,18 @@
 //
 // These oracles are used by the test suite to validate the CONGEST
 // algorithms and by the benchmark harness to report paper-vs-measured
-// numbers. All walk evolution runs on the shared internal/walkkernel pull
-// kernel: steps are division-free, allocation-free in the steady state,
-// parallel over vertex blocks, and bit-identical for every worker count —
-// so every oracle output (T, R, witness sets, full distributions) is
-// deterministic for any LocalOptions.Workers setting (regression-tested).
+// numbers. Each oracle quantity has one implementation, its kernel form
+// (MixingTimeKernel, GraphMixingTimeKernel, LocalMixingKernel,
+// GraphLocalMixingKernel); MixingTime, GraphMixingTime, LocalMixing and
+// GraphLocalMixing check their parameters, build a kernel with NewKernel
+// and call it.
+//
+// All walk evolution runs on the shared internal/walkkernel pull kernel:
+// steps are division-free, allocation-free in the steady state, parallel
+// over vertex blocks, and bit-identical for every worker count. The worker
+// count lives on the kernel (NewKernel(g, w); LocalOptions.Workers for the
+// building forms), so every oracle output (T, R, witness sets, full
+// distributions) is deterministic for any setting (regression-tested).
 // Bipartite graphs fail fast with ErrBipartiteNonLazy unless the lazy walk
 // is selected, mirroring §2.1's convergence requirement.
 package exact

@@ -18,13 +18,11 @@ type LocalOptions struct {
 	Lazy bool
 	// MaxT is the step budget; the oracle fails with ErrNoMixing beyond it.
 	MaxT int
-	// Grid restricts the candidate set sizes to the (1+GridStep)-geometric
-	// grid starting at ⌈n/β⌉, exactly like Algorithm 2's loop over R. When
-	// false every integer size in [⌈n/β⌉, n] is examined (the literal
+	// Grid restricts the candidate set sizes to the (1+ε)-geometric grid
+	// starting at ⌈n/β⌉, exactly like Algorithm 2's loop over R. When false
+	// every integer size in [⌈n/β⌉, n] is examined (the literal
 	// Definition 2 minimum).
 	Grid bool
-	// GridStep is the grid ratio minus one (defaults to Eps when zero).
-	GridStep float64
 	// ThresholdMult scales the acceptance threshold: the test is
 	// Σ < ThresholdMult·ε. Algorithm 2 uses 4 (Lemma 3); the plain
 	// definition uses 1. Defaults to 1.
@@ -34,10 +32,11 @@ type LocalOptions struct {
 	// R smallest differences over all nodes); the default matches the
 	// algorithm. Enabling it costs an extra O(n log n) per (t, R).
 	RequireSource bool
-	// Workers sets the walk-kernel parallelism and the width of the
-	// candidate-size scan (≤ 0 means GOMAXPROCS). It never changes results:
-	// the kernel's vertex blocks and the size scan's chunk grid are
-	// schedule-independent.
+	// Workers sets the width of the candidate-size scan and of
+	// GraphLocalMixingKernel's source pool, and the kernel parallelism of
+	// the kernel-building forms (≤ 0 means GOMAXPROCS). It never changes
+	// results: the kernel's vertex blocks and the size scan's chunk grid
+	// are schedule-independent.
 	Workers int
 }
 
@@ -54,31 +53,27 @@ type LocalResult struct {
 	Set []int
 }
 
-// LocalMixing computes the local mixing time τ_s(β, ε) of Definition 2 with
-// the uniform target 1/|S| (the regular-graph form, which is also precisely
-// the quantity Algorithm 2 computes on any graph). For each step t it asks:
-// does there exist a set size R ≥ ⌈n/β⌉ whose R best-matching vertices have
-// Σ_{v∈S} |p_t(v) − 1/R| below threshold?
+// LocalMixing returns τ_s(β, ε) (Definition 2) with a witness set:
+// LocalMixingKernel on a fresh kernel.
 func LocalMixing(g *graph.Graph, source int, beta float64, eps float64, o LocalOptions) (*LocalResult, error) {
 	k, err := localKernel(g, beta, eps, o)
 	if err != nil {
 		return nil, err
 	}
-	return localMixingOn(context.Background(), g, k, source, beta, eps, o)
+	return LocalMixingKernel(context.Background(), g, k, source, beta, eps, o)
 }
 
-// localKernel validates the common oracle parameters and builds the shared
-// walk kernel.
+// localKernel checks the local oracles' parameters and builds a kernel
+// with o.Workers.
 func localKernel(g *graph.Graph, beta, eps float64, o LocalOptions) (*walkkernel.Kernel, error) {
-	if err := validateLocal(g, beta, eps, o); err != nil {
+	if err := checkLocal(g, beta, eps, o); err != nil {
 		return nil, err
 	}
-	return walkKernel(g, o.Workers)
+	return NewKernel(g, o.Workers)
 }
 
-// validateLocal is localKernel's parameter check, shared with the
-// kernel-reusing entry points that skip the kernel build.
-func validateLocal(g *graph.Graph, beta, eps float64, o LocalOptions) error {
+// checkLocal is the local oracles' parameter check.
+func checkLocal(g *graph.Graph, beta, eps float64, o LocalOptions) error {
 	if beta < 1 {
 		return fmt.Errorf("exact: LocalMixing needs β ≥ 1, got %g", beta)
 	}
@@ -91,7 +86,7 @@ func validateLocal(g *graph.Graph, beta, eps float64, o LocalOptions) error {
 	return checkLazyChain(g, o.Lazy)
 }
 
-// localMixingOn is LocalMixing on an already-validated shared kernel. The
+// localMixingOn is LocalMixingKernel past its parameter check. The
 // context is checked once per walk step (each step pays a sort plus the
 // candidate-size scan), so a service deadline aborts within one step.
 func localMixingOn(ctx context.Context, g *graph.Graph, k *walkkernel.Kernel, source int, beta, eps float64, o LocalOptions) (*LocalResult, error) {
@@ -103,7 +98,7 @@ func localMixingOn(ctx context.Context, g *graph.Graph, k *walkkernel.Kernel, so
 	if o.ThresholdMult > 0 {
 		threshold = eps * o.ThresholdMult
 	}
-	sizes := CandidateSizes(g.N(), beta, o.Grid, gridStep(eps, o))
+	sizes := CandidateSizes(g.N(), beta, o.Grid, eps)
 	scratch := newWindowScratch(g.N(), scanWorkers(o.Workers, k))
 	for t := 0; t <= o.MaxT; t++ {
 		if err := ctx.Err(); err != nil {
@@ -140,7 +135,7 @@ func LocalMixingProfile(g *graph.Graph, source int, beta float64, eps float64, o
 	if err != nil {
 		return nil, err
 	}
-	sizes := CandidateSizes(g.N(), beta, o.Grid, gridStep(eps, o))
+	sizes := CandidateSizes(g.N(), beta, o.Grid, eps)
 	scratch := newWindowScratch(g.N(), scanWorkers(o.Workers, k))
 	prof := make([]float64, o.MaxT+1)
 	for t := 0; t <= o.MaxT; t++ {
@@ -156,13 +151,6 @@ func LocalMixingProfile(g *graph.Graph, source int, beta float64, eps float64, o
 		w.Step()
 	}
 	return prof, nil
-}
-
-func gridStep(eps float64, o LocalOptions) float64 {
-	if o.GridStep > 0 {
-		return o.GridStep
-	}
-	return eps
 }
 
 // CandidateSizes enumerates the set sizes examined: either every integer in

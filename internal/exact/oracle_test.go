@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -89,12 +90,19 @@ func TestOracleWorkerDeterminism(t *testing.T) {
 		}
 	}
 
-	refGM, err := GraphMixingTimeWorkers(torus, 0.4, true, 1<<14, 1)
+	graphMixing := func(w int) (int, error) {
+		k, err := NewKernel(torus, w)
+		if err != nil {
+			return 0, err
+		}
+		return GraphMixingTimeKernel(context.Background(), torus, k, 0.4, true, 1<<14)
+	}
+	refGM, err := graphMixing(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range counts[1:] {
-		gm, err := GraphMixingTimeWorkers(torus, 0.4, true, 1<<14, w)
+		gm, err := graphMixing(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,13 +111,20 @@ func TestOracleWorkerDeterminism(t *testing.T) {
 		}
 	}
 
-	refWalk, err := NewWalkWorkers(torus, 7, true, 1)
+	walk := func(w int) (*Walk, error) {
+		k, err := NewKernel(torus, w)
+		if err != nil {
+			return nil, err
+		}
+		return k.NewWalk(7, true), nil
+	}
+	refWalk, err := walk(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refWalk.StepN(200)
 	for _, w := range counts[1:] {
-		wk, err := NewWalkWorkers(torus, 7, true, w)
+		wk, err := walk(w)
 		if err != nil {
 			t.Fatal(err)
 		}

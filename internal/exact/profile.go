@@ -11,16 +11,10 @@ import (
 // contrast with the restricted distance of a fixed set, which is not (see
 // LocalMixingProfile and examples/figure1).
 func MixingProfile(g *graph.Graph, source int, lazy bool, maxT int) ([]float64, error) {
-	return MixingProfileWorkers(g, source, lazy, maxT, 0)
-}
-
-// MixingProfileWorkers is MixingProfile with an explicit kernel worker count
-// (≤ 0 means GOMAXPROCS); the trace is identical for every count.
-func MixingProfileWorkers(g *graph.Graph, source int, lazy bool, maxT, workers int) ([]float64, error) {
 	if maxT < 0 {
 		return nil, fmt.Errorf("exact: MixingProfile needs maxT ≥ 0")
 	}
-	w, err := NewWalkWorkers(g, source, lazy, workers)
+	w, err := NewWalk(g, source, lazy)
 	if err != nil {
 		return nil, err
 	}

@@ -14,60 +14,24 @@ import (
 // source. It implements exactly the chain the paper analyzes: the simple
 // walk P(u,v) = 1/d(u) for neighbors, or the lazy walk that stays put with
 // probability 1/2 (footnote 5; required on bipartite graphs).
-type Walk struct {
-	inner *walkkernel.Walk
-}
+type Walk = walkkernel.Walk
 
-// NewWalk starts a walk at source: p_0 = e_source.
+// NewWalk starts a walk at source on a fresh kernel: p_0 = e_source.
 func NewWalk(g *graph.Graph, source int, lazy bool) (*Walk, error) {
-	return NewWalkWorkers(g, source, lazy, 0)
-}
-
-// NewWalkWorkers is NewWalk with an explicit kernel worker count (≤ 0 means
-// GOMAXPROCS). The worker count never changes the computed distributions.
-func NewWalkWorkers(g *graph.Graph, source int, lazy bool, workers int) (*Walk, error) {
-	k, err := walkKernel(g, workers)
+	k, err := NewKernel(g, 0)
 	if err != nil {
 		return nil, err
 	}
 	return newWalkOn(g, k, source, lazy)
 }
 
-// walkKernel validates the graph and builds a walk kernel for it.
-func walkKernel(g *graph.Graph, workers int) (*walkkernel.Kernel, error) {
-	if g.N() > 0 && g.MinDegree() == 0 {
-		return nil, errors.New("exact: graph has isolated vertices")
-	}
-	return walkkernel.New(g, workers), nil
-}
-
-// newWalkOn starts a walk on an already-built kernel (shared across sources
-// by the multi-source oracles).
+// newWalkOn starts a walk on an already-built kernel.
 func newWalkOn(g *graph.Graph, k *walkkernel.Kernel, source int, lazy bool) (*Walk, error) {
 	if source < 0 || source >= g.N() {
 		return nil, fmt.Errorf("exact: source %d out of range [0,%d)", source, g.N())
 	}
-	return &Walk{inner: k.NewWalk(source, lazy)}, nil
+	return k.NewWalk(source, lazy), nil
 }
-
-// T returns the number of steps taken so far.
-func (w *Walk) T() int { return w.inner.T() }
-
-// Lazy reports whether this is the lazy chain.
-func (w *Walk) Lazy() bool { return w.inner.Lazy() }
-
-// P returns the current distribution p_t. The slice is owned by the walk and
-// is invalidated by Step; callers who retain it must copy.
-func (w *Walk) P() []float64 { return w.inner.P() }
-
-// SetDist overwrites the current distribution (for tests and replays).
-func (w *Walk) SetDist(p []float64) { w.inner.SetDist(p) }
-
-// Step advances the walk one step.
-func (w *Walk) Step() { w.inner.Step() }
-
-// StepN advances the walk k steps.
-func (w *Walk) StepN(k int) { w.inner.StepN(k) }
 
 // Stationary returns π(v) = d(v)/2m, the stationary distribution of both the
 // simple and the lazy walk on a connected graph.
@@ -117,116 +81,45 @@ var ErrNoMixing = errors.New("exact: walk did not mix within the step budget")
 // oracle entry point fails fast with this error instead.
 var ErrBipartiteNonLazy = errors.New("exact: simple walk does not mix on a bipartite graph; use lazy=true (footnote 5)")
 
-// checkLazyChain is the shared guard.
+// checkLazyChain is the shared guard. The empty graph has no walk to
+// oscillate, so it passes.
 func checkLazyChain(g *graph.Graph, lazy bool) error {
-	if !lazy && g.IsBipartite() {
+	if !lazy && g.N() > 0 && g.IsBipartite() {
 		return ErrBipartiteNonLazy
 	}
 	return nil
 }
 
-// MixingTime returns τ_mix_s(ε) = min{t : ‖p_t − π‖₁ < ε} (Definition 1),
-// searching up to maxT steps. Lemma 1 guarantees the distance is monotone,
-// so the first hit is the answer.
+// checkMixing is the mixing oracles' parameter check.
+func checkMixing(g *graph.Graph, eps float64, lazy bool) error {
+	if eps <= 0 || eps >= 1 {
+		return fmt.Errorf("exact: MixingTime needs ε ∈ (0,1), got %g", eps)
+	}
+	return checkLazyChain(g, lazy)
+}
+
+// MixingTime returns τ_mix_s(ε) (Definition 1): MixingTimeKernel on a
+// fresh kernel.
 func MixingTime(g *graph.Graph, source int, eps float64, lazy bool, maxT int) (int, error) {
-	if eps <= 0 || eps >= 1 {
-		return 0, fmt.Errorf("exact: MixingTime needs ε ∈ (0,1), got %g", eps)
-	}
-	if err := checkLazyChain(g, lazy); err != nil {
+	if err := checkMixing(g, eps, lazy); err != nil {
 		return 0, err
 	}
-	w, err := NewWalk(g, source, lazy)
+	k, err := NewKernel(g, 0)
 	if err != nil {
 		return 0, err
 	}
-	pi := Stationary(g)
-	for t := 0; t <= maxT; t++ {
-		if L1(w.P(), pi) < eps {
-			return t, nil
-		}
-		w.Step()
-	}
-	return 0, fmt.Errorf("%w (maxT=%d, source=%d)", ErrNoMixing, maxT, source)
+	return MixingTimeKernel(context.Background(), g, k, source, eps, lazy, maxT)
 }
 
-// GraphMixingTime returns τ_mix(ε) = max_s τ_mix_s(ε) over all sources.
-// Sources are evolved in batches of walkkernel.BatchWidth lanes — one edge
-// pass advances a whole batch — instead of n serial walks. Per batch only
-// the predicate "has the slowest lane mixed?" is evaluated per step: by
-// Lemma 1 every lane's distance is monotone, so the first step at which all
-// lanes are below ε is exactly max_b τ_b.
+// GraphMixingTime returns τ_mix(ε) = max_s τ_mix_s(ε):
+// GraphMixingTimeKernel on a fresh kernel.
 func GraphMixingTime(g *graph.Graph, eps float64, lazy bool, maxT int) (int, error) {
-	return GraphMixingTimeWorkers(g, eps, lazy, maxT, 0)
-}
-
-// GraphMixingTimeWorkers is GraphMixingTime with an explicit kernel worker
-// count (≤ 0 means GOMAXPROCS); the result is identical for every count.
-func GraphMixingTimeWorkers(g *graph.Graph, eps float64, lazy bool, maxT, workers int) (int, error) {
-	if eps <= 0 || eps >= 1 {
-		return 0, fmt.Errorf("exact: MixingTime needs ε ∈ (0,1), got %g", eps)
-	}
-	if g.N() == 0 {
-		return 0, nil
-	}
-	if err := checkLazyChain(g, lazy); err != nil {
+	if err := checkMixing(g, eps, lazy); err != nil {
 		return 0, err
 	}
-	k, err := walkKernel(g, workers)
+	k, err := NewKernel(g, 0)
 	if err != nil {
 		return 0, err
 	}
-	return graphMixingTimeOn(context.Background(), g, k, eps, lazy, maxT)
-}
-
-// graphMixingTimeOn is the batched sweep on an already-validated kernel
-// (fresh above, or cached by internal/service's GraphCache). The context is
-// checked once per walk step — each step is a full batched SpMV, so
-// cancellation (a service deadline) lands within one edge pass.
-func graphMixingTimeOn(ctx context.Context, g *graph.Graph, k *walkkernel.Kernel, eps float64, lazy bool, maxT int) (int, error) {
-	n := g.N()
-	pi := Stationary(g)
-	width := walkkernel.BatchWidth
-	if width > n {
-		width = n
-	}
-	mw := k.NewMultiWalk(width, lazy)
-	sources := make([]int, width)
-	dist := make([]float64, width)
-	worst := 0
-	for lo := 0; lo < n; lo += width {
-		for b := 0; b < width; b++ {
-			s := lo + b
-			if s >= n {
-				s = lo // pad the final batch with duplicate lanes
-			}
-			sources[b] = s
-		}
-		mw.Reset(sources)
-		mixed := false
-		for t := 0; t <= maxT; t++ {
-			if err := ctx.Err(); err != nil {
-				return 0, fmt.Errorf("exact: graph mixing sweep cancelled at source batch %d, step %d: %w", lo, t, err)
-			}
-			if mw.AllBelow(pi, eps) {
-				if t > worst {
-					worst = t
-				}
-				mixed = true
-				break
-			}
-			if t < maxT {
-				mw.Step()
-			}
-		}
-		if !mixed {
-			// Identify a witness lane for the error message.
-			mw.L1ToTarget(pi, dist)
-			for b := 0; b < width; b++ {
-				if dist[b] >= eps {
-					return 0, fmt.Errorf("%w (maxT=%d, source=%d)", ErrNoMixing, maxT, sources[b])
-				}
-			}
-		}
-	}
-	return worst, nil
+	return GraphMixingTimeKernel(context.Background(), g, k, eps, lazy, maxT)
 }

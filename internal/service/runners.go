@@ -103,9 +103,6 @@ func localOptions(inv *Invocation) exact.LocalOptions {
 func runOracleMixing(inv *Invocation) (any, error) {
 	t := inv.Task
 	g := inv.Env.Graph()
-	if err := exact.ValidateMixingParams(g, t.Eps, t.Lazy); err != nil {
-		return nil, err
-	}
 	k, err := inv.Env.kernel(t.Workers)
 	if err != nil {
 		return nil, err
@@ -121,9 +118,6 @@ func runOracleLocal(inv *Invocation) (any, error) {
 	t := inv.Task
 	g := inv.Env.Graph()
 	o := localOptions(inv)
-	if err := exact.ValidateLocalParams(g, t.Beta, t.Eps, o); err != nil {
-		return nil, err
-	}
 	k, err := inv.Env.kernel(o.Workers)
 	if err != nil {
 		return nil, err
@@ -134,9 +128,6 @@ func runOracleLocal(inv *Invocation) (any, error) {
 func runOracleGraphMixing(inv *Invocation) (any, error) {
 	t := inv.Task
 	g := inv.Env.Graph()
-	if err := exact.ValidateMixingParams(g, t.Eps, t.Lazy); err != nil {
-		return nil, err
-	}
 	k, err := inv.Env.kernel(t.Workers)
 	if err != nil {
 		return nil, err
@@ -152,9 +143,6 @@ func runOracleGraphLocal(inv *Invocation) (any, error) {
 	t := inv.Task
 	g := inv.Env.Graph()
 	o := localOptions(inv)
-	if err := exact.ValidateLocalParams(g, t.Beta, t.Eps, o); err != nil {
-		return nil, err
-	}
 	k, err := inv.Env.kernel(o.Workers)
 	if err != nil {
 		return nil, err
@@ -215,15 +203,12 @@ func runSweep(inv *Invocation) (any, error) {
 	return sw.Sweep(o)
 }
 
-// poolKey renders the canonical key of a warm sweep pool: everything in
-// the resolved config that selects the pool's algorithm, parameters, and
-// seeds — but not the per-sweep source selection, so repeated sweeps with
-// different samples share one pool.
+// poolKey renders the canonical key of a warm sweep pool: the config and
+// worker count (core.PoolKey) and the churn model. The per-sweep source
+// selection is not part of it, so repeated sweeps with different samples
+// share one pool.
 func poolKey(cfg core.Config, churnKey string, workers int) string {
-	return fmt.Sprintf("m=%v/b=%g/e=%g/lazy=%t/c=%d/ml=%d/tb=%d/irr=%t/seed=%d/ew=%d/mr=%d/bw=%d/churn=%s/w=%d",
-		cfg.Mode, cfg.Beta, cfg.Eps, cfg.Lazy, cfg.C, cfg.MaxLength, cfg.TieBreakBits,
-		cfg.AllowIrregular, cfg.Engine.Seed, cfg.Engine.Workers, cfg.Engine.MaxRounds,
-		cfg.Engine.BandwidthBits, churnKey, workers)
+	return core.PoolKey(cfg, workers) + "/churn=" + churnKey
 }
 
 func runSpread(inv *Invocation) (any, error) {

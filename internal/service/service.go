@@ -378,13 +378,14 @@ func (s *Service) runCluster(ctx context.Context, gs spec.GraphSpec, task spec.T
 	return res, nil
 }
 
-// normalize fills the spec-path defaults: ε, the sweep mode (the default
+// normalize drops the fields the kind never reads (spec.WithoutUnread),
+// then fills the spec-path defaults: ε, the sweep mode (the default
 // "approx" is spelled ""), the oracle step budget, and — when the request
 // omits a seed — the deterministic per-request seed derived from the
 // service base seed and the request content, so identical requests repeat
 // identically while distinct requests draw uncorrelated randomness.
 func (s *Service) normalize(req Request, n int) spec.TaskSpec {
-	t := req.Task
+	t := req.Task.WithoutUnread()
 	if t.Eps == 0 {
 		t.Eps = spec.DefaultEps
 	}

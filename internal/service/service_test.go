@@ -434,3 +434,92 @@ func TestSweepDefaultModeOneSpelling(t *testing.T) {
 		t.Fatal("mode \"approx\" missed the result cache entry of mode \"\"")
 	}
 }
+
+// TestUnreadFieldsChangeNothing: for every kind, each field that
+// spec.WithoutUnread zeroes is set to a non-zero value. The request must
+// derive the same seed and hit the same result-cache entry, and the kind's
+// runner, handed the field directly, must compute the same result — so the
+// field really is unread.
+func TestUnreadFieldsChangeNothing(t *testing.T) {
+	svc := New(Options{})
+	g, _, err := svc.Graph(ringSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := map[spec.Kind]spec.TaskSpec{
+		spec.KindOracleMixing:      {Eps: 0.1},
+		spec.KindOracleLocal:       {Beta: 4, Eps: 0.1},
+		spec.KindOracleGraphMixing: {Eps: 0.1},
+		spec.KindOracleGraphLocal:  {Beta: 4, Eps: 0.1},
+		spec.KindMixing:            {Eps: 0.1},
+		spec.KindLocal:             {Beta: 4, Eps: 0.1},
+		spec.KindSweep:             {Beta: 4, Eps: 0.1, Sample: 3},
+		spec.KindWalk:              {Steps: 16},
+		spec.KindEstimate:          {Steps: 8},
+		spec.KindSpread:            {Beta: 4},
+		spec.KindLeader:            {},
+		spec.KindCoverage:          {Beta: 4, Coverage: &spec.CoverageSpec{Universe: 50, PerNode: 4, K: 3, Seed: 9}},
+	}
+	probe := reflect.ValueOf(spec.TaskSpec{
+		Source: 3, Beta: 2, Eps: 0.2, Lazy: true, MaxT: 77, FullScan: true, Steps: 5,
+		RetryBudget: 2, Sources: []int{1, 2}, Sample: 2, Irregular: true, C: 3, MaxLength: 40,
+		MaxRounds: 123456, TieBreakBits: 2, StopAtPartial: true, FixedRounds: 3,
+		Transport: "congest", Coverage: &spec.CoverageSpec{Universe: 10, PerNode: 2, K: 1, Seed: 4},
+	})
+	set := func(task *spec.TaskSpec, i int) { reflect.ValueOf(task).Elem().Field(i).Set(probe.Field(i)) }
+	for _, kind := range spec.Kinds() {
+		base := bases[kind]
+		base.Kind = kind
+		ref := mustRun(t, svc, Request{Graph: ringSpec, Task: base})
+		normalized := svc.normalize(Request{Graph: ringSpec, Task: base}, g.N())
+		run, _ := svc.reg.Runner(kind)
+		zeroed := 0
+		for i := 0; i < probe.NumField(); i++ {
+			if probe.Field(i).IsZero() {
+				continue
+			}
+			task := base
+			set(&task, i)
+			if !reflect.DeepEqual(task.WithoutUnread(), base.WithoutUnread()) {
+				continue // the kind reads this field
+			}
+			zeroed++
+			name := probe.Type().Field(i).Name
+			resp := mustRun(t, svc, Request{Graph: ringSpec, Task: task})
+			if resp.Seed != ref.Seed || !resp.ResultHit || !reflect.DeepEqual(resp.Result, ref.Result) {
+				t.Errorf("%s with %s set: seed %d (want %d), result hit %v, same result %v",
+					kind, name, resp.Seed, ref.Seed, resp.ResultHit, reflect.DeepEqual(resp.Result, ref.Result))
+			}
+			direct := normalized
+			set(&direct, i)
+			res, err := run(&Invocation{Env: DirectEnv(g), Task: direct})
+			if err != nil || !reflect.DeepEqual(res, ref.Result) {
+				t.Errorf("%s runner reads %s: err %v, same result %v", kind, name, err, reflect.DeepEqual(res, ref.Result))
+			}
+		}
+		if zeroed == 0 {
+			t.Errorf("%s: no field zeroed", kind)
+		}
+	}
+}
+
+// TestWalkIgnoresBetaAndEps: β and ε pick nothing in a token walk, so the
+// three requests below are one request — one endpoint, one cache entry.
+func TestWalkIgnoresBetaAndEps(t *testing.T) {
+	svc := New(Options{})
+	gs := spec.GraphSpec{Family: "ringcliques", Blocks: 4, K: 6}
+	tasks := []spec.TaskSpec{
+		{Kind: spec.KindWalk, Steps: 16},
+		{Kind: spec.KindWalk, Steps: 16, Beta: 4},
+		{Kind: spec.KindWalk, Steps: 16, Beta: 4, Eps: 0.2},
+	}
+	first := mustRun(t, svc, Request{Graph: gs, Task: tasks[0]})
+	end := first.Result.(*core.TokenWalkResult).End
+	for _, task := range tasks[1:] {
+		resp := mustRun(t, svc, Request{Graph: gs, Task: task})
+		if got := resp.Result.(*core.TokenWalkResult).End; got != end || resp.Seed != first.Seed || !resp.ResultHit {
+			t.Errorf("%+v: endpoint %d (want %d), seed %d (want %d), result hit %v",
+				task, got, end, resp.Seed, first.Seed, resp.ResultHit)
+		}
+	}
+}

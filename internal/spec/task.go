@@ -3,6 +3,7 @@ package spec
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -296,6 +297,67 @@ func (t TaskSpec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// WithoutUnread returns the task with every field its kind never reads
+// zeroed, so requests that differ only there derive one seed and share one
+// result. A field is read if it can change the result or fail the kind's
+// validation. Seed (echoed in the response), the fields Validate ties to
+// kinds (Mode, Exact, Churn, Cluster) and the schedule-only fields
+// (Workers, SweepWorkers, DeadlineMS) are kept.
+func (t TaskSpec) WithoutUnread() TaskSpec {
+	reads := func(kinds ...Kind) bool { return slices.Contains(kinds, t.Kind) }
+	oracle := reads(KindOracleMixing, KindOracleLocal, KindOracleGraphMixing, KindOracleGraphLocal)
+	engine := reads(KindMixing, KindLocal, KindSweep, KindEstimate)
+	if !reads(KindOracleMixing, KindOracleLocal, KindMixing, KindLocal, KindWalk, KindEstimate) {
+		t.Source = 0
+	}
+	if !reads(KindOracleLocal, KindOracleGraphLocal, KindLocal, KindSweep, KindEstimate, KindSpread, KindCoverage) {
+		t.Beta = 0
+	}
+	if !oracle && !engine {
+		t.Eps = 0
+	}
+	if !engine {
+		t.C, t.TieBreakBits = 0, 0
+	}
+	if !oracle && !engine && t.Kind != KindWalk {
+		t.Lazy = false
+	}
+	if !oracle {
+		t.MaxT = 0
+	}
+	if !reads(KindOracleLocal, KindOracleGraphLocal) {
+		t.FullScan = false
+	}
+	if !reads(KindWalk, KindEstimate) {
+		t.Steps = 0
+	}
+	if t.Kind != KindWalk {
+		t.RetryBudget = 0
+	}
+	if !reads(KindOracleGraphLocal, KindSweep) {
+		t.Sources = nil
+	}
+	if t.Kind != KindSweep {
+		t.Sample = 0
+	}
+	if !reads(KindLocal, KindSweep) {
+		t.Irregular = false
+	}
+	if !reads(KindMixing, KindLocal, KindSweep) {
+		t.MaxLength = 0
+	}
+	if oracle || reads(KindCoverage) {
+		t.MaxRounds = 0
+	}
+	if t.Kind != KindSpread {
+		t.StopAtPartial, t.FixedRounds, t.Transport = false, 0, ""
+	}
+	if t.Kind != KindCoverage {
+		t.Coverage = nil
+	}
+	return t
 }
 
 // Deadline returns the request's wall-clock budget as a duration

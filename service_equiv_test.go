@@ -52,6 +52,9 @@ func TestServiceRunMatchesFacadeEveryKind(t *testing.T) {
 		{"oracle-local",
 			spec.TaskSpec{Kind: spec.KindOracleLocal, Beta: beta, Eps: eps},
 			func() (any, error) { return LocalMixingTime(g, 0, beta, eps, oracleOpts) }},
+		{"oracle-local-fullscan",
+			spec.TaskSpec{Kind: spec.KindOracleLocal, Beta: beta, Eps: eps, FullScan: true},
+			func() (any, error) { return LocalMixingTime(g, 0, beta, eps, LocalMixingOptions{MaxT: maxT}) }},
 		{"oracle-graph-mixing",
 			spec.TaskSpec{Kind: spec.KindOracleGraphMixing, Eps: eps},
 			func() (any, error) {
@@ -61,6 +64,9 @@ func TestServiceRunMatchesFacadeEveryKind(t *testing.T) {
 		{"oracle-graph-local",
 			spec.TaskSpec{Kind: spec.KindOracleGraphLocal, Beta: beta, Eps: eps},
 			func() (any, error) { return GraphLocalMixingTime(g, beta, eps, oracleOpts, nil) }},
+		{"oracle-graph-local-fullscan",
+			spec.TaskSpec{Kind: spec.KindOracleGraphLocal, Beta: beta, Eps: eps, FullScan: true},
+			func() (any, error) { return GraphLocalMixingTime(g, beta, eps, LocalMixingOptions{MaxT: maxT}, nil) }},
 		{"mixing",
 			spec.TaskSpec{Kind: spec.KindMixing, Eps: eps, Seed: seed},
 			func() (any, error) { return DistributedMixingTime(g, 0, eps, WithSeed(seed)) }},
