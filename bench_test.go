@@ -99,9 +99,9 @@ func BenchmarkCongestAlgorithm2(b *testing.B) {
 
 // BenchmarkEstimateRW measures the distributed Algorithm 1 at several walk
 // lengths (ℓ+1 CONGEST rounds each), reporting engine throughput. The
-// torus100 case is the sparse footprint: ℓ = 16 reaches 545 of 10^4
-// vertices, and B/vertex (heap bytes per job over n) and steps/op (Step
-// calls per job) show whether a job pays for the vertices it touches.
+// lazy torus cases are the sparse footprint: B/vertex (heap bytes per job
+// over n, the n-entry W's 8 included) and steps/op (Step calls per job)
+// show whether a job pays for the vertices it touches.
 func BenchmarkEstimateRW(b *testing.B) {
 	g, err := gen.RingOfCliques(8, 16)
 	if err != nil {
@@ -121,26 +121,35 @@ func BenchmarkEstimateRW(b *testing.B) {
 			reportThroughput(b, rounds, msgs)
 		})
 	}
-	torus, err := gen.Torus(100, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	torus.IsConnected() // graph facts are computed once per graph, not per job
-	b.Run("torus100/ell=16/lazy", func(b *testing.B) {
-		var steps int64
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < b.N; i++ {
-			res, err := core.EstimateRWProbability(torus, 0, 16, core.Config{Lazy: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			steps += res.Stats.ActiveSteps
+	// torus100 is the sparse footprint at ℓ = 16 (545 of 10^4 vertices
+	// reached); torus1000 at ℓ = 4 reaches 41 of 10^6, so everything but the
+	// n-entry W must follow the ball, not n.
+	for _, c := range []struct {
+		name string
+		side int
+		ell  int
+	}{{"torus100/ell=16/lazy", 100, 16}, {"torus1000/ell=4/lazy", 1000, 4}} {
+		torus, err := gen.Torus(c.side, c.side)
+		if err != nil {
+			b.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*torus.N()), "B/vertex")
-		b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
-	})
+		torus.IsConnected() // graph facts are computed once per graph, not per job
+		b.Run(c.name, func(b *testing.B) {
+			var steps int64
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				res, err := core.EstimateRWProbability(torus, 0, c.ell, core.Config{Lazy: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += res.Stats.ActiveSteps
+			}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*torus.N()), "B/vertex")
+			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+		})
+	}
 }
 
 // reportThroughput attaches rounds/sec and messages/sec to a benchmark that

@@ -158,12 +158,19 @@ func (sh *shard) runDeliverWire() {
 			}
 			sh.msgs++
 			sh.bits += int64(r.Bits)
-			dst := &net.ctxs[r.To]
+			pg := net.pages[r.To>>pageShift].Load()
+			if pg == nil {
+				pg = net.touchPage(r.To)
+			}
+			dst := &pg.ctx[r.To&pageMask]
+			if dst.run != net.runNo {
+				sh.wakeDormant(dst, r.To)
+			}
 			if dst.halted {
 				continue
 			}
-			if dst.sleep > rnd && len(dst.inbox) == 0 {
-				sh.wakes++
+			if len(dst.inbox) == 0 {
+				sh.arrive(dst, rnd)
 			}
 			if cap(dst.inbox) == 0 {
 				sh.carveInbox(dst)

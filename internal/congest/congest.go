@@ -142,7 +142,7 @@ type Stats struct {
 
 	// Liveness counters (see the architecture section of the package doc).
 	ActiveSteps   int64 // total Step invocations (excludes halted/sleeping nodes)
-	SleepSkips    int64 // step-phase skips of sleeping nodes
+	SleepSkips    int64 // live nodes not stepped in an executed round, dormant ones included
 	Wakeups       int64 // sleeping nodes woken early by message arrival
 	SkippedRounds int64 // rounds fast-forwarded while the whole network slept
 
@@ -152,7 +152,7 @@ type Stats struct {
 	// every other field they describe the execution, not the simulation:
 	// more workers mean more (smaller) buffers warming up, so these two may
 	// differ across worker counts while all results stay identical.
-	StepGrows    int64 // outbox growth events during step phases
+	StepGrows    int64 // outbox chunk allocations during step phases
 	DeliverGrows int64 // inbox growth events during deliver phases
 
 	// Dynamic-topology counters (zero on static networks).

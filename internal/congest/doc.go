@@ -35,34 +35,57 @@
 //     steps them, delivers into their inboxes and tracks their liveness,
 //     so no lock is ever taken on per-node state.
 //
-//   - Sharded mailboxes. Each shard keeps one flat outbox buffer per
-//     destination shard (a W×W matrix of []pend slices), truncated and
-//     never freed. Shard s delivers by draining out[w][s] for w = 0..W-1
-//     in order. Shards are contiguous id ranges stepped in ascending id
-//     order, so this reproduces the canonical "ascending sender id, then
-//     send order" inbox ordering for every worker count.
+//   - Sharded mailboxes. Each shard keeps one outbox per destination
+//     shard (a W×W matrix of chunked buffers that grow without copying),
+//     emptied and never freed. Shard s delivers by draining out[w][s] for
+//     w = 0..W-1 in order. Shards are contiguous id ranges stepped in
+//     ascending id order, so this reproduces the canonical "ascending
+//     sender id, then send order" inbox ordering for every worker count.
 //
 //   - CSR edge slots. The directed edge u→v is named by its position in
 //     the graph's own CSR arrays. Send finds it by binary search of u's
 //     sorted row; SendNbr and Broadcast address neighbors by row position.
 //     The slot indexes the per-directed-edge bandwidth accounting, which
-//     only the sending shard writes. Each message is written once into
+//     only the sending shard writes. Tree sends (protocol.Tree) address
+//     parent and children by the row positions recorded when the tree
+//     learned them. Each message is written once into
 //     its outbox entry and copied once into the receiver's inbox.
 //
-//   - Liveness tracking. Each shard keeps an ascending list of its live
-//     (non-halted) nodes, compacted in place as nodes halt, so round upkeep
-//     is O(live), not O(n). Sleeping nodes are skipped in O(1); when a
-//     round delivers nothing and steps no node, the engine fast-forwards
-//     to the earliest wake-up.
+//   - Wake calendar. A round steps only the nodes that are due: those
+//     that got mail (the deliver phase marks each receiver), those that
+//     stepped last round without sleeping or halting, and those whose
+//     timed wake-up falls due (Sleep and SleepThenHalt file the round in
+//     the shard's wake queue). The due set is a two-level bitmap, so each
+//     shard steps its due nodes in ascending id order at a cost of one
+//     word per 4096 nodes plus the due nodes; a round costs O(awake +
+//     arrivals), not O(live). When a round steps nothing and delivers
+//     nothing, the engine fast-forwards to the earliest wake-up. A
+//     SleepThenHalt that runs out with no mail halts its node before the
+//     round's steps, so a node that knows the round its run ends is never
+//     stepped again. Stats.SleepSkips stays the count of live nodes not
+//     stepped in an executed round, added as live − stepped per round.
 //
-//   - State on first use. A node's inbox, of capacity deg(v), is carved
-//     from its shard's slab on the node's first delivery, and its RNG from
-//     a shard chunk on its first Context.Rand, which seeds it from
-//     (seed, id). A protocol that reaches only a ball of the graph pays
-//     for that ball. A slab never exceeds the shard's owned rows not yet
-//     carved, so a run in which every node receives allocates what one
-//     up-front inbox array would. Carved state stays with its node across
-//     Runs of a reused network.
+//   - State on first touch. A node's Context and the bandwidth use of its
+//     CSR row live in a page of 32 vertices allocated when the first of
+//     them is touched; a Run activates a Context by its run stamp, so no
+//     Run visits the nodes it does not reach. An inbox, of capacity
+//     deg(v), is carved from its shard's slab on the node's first
+//     delivery, and an RNG on its first Context.Rand, which seeds it from
+//     (seed, id). Carved state stays with its node across Runs of a reused
+//     network. Protocols page their own per-node state the same way
+//     (Pages).
+//
+//   - Dormant nodes. RunDormant starts every node but the sources
+//     dormant: a protocol declares that their Init would only sleep, so a
+//     dormant node's Process is created and initialized when its first
+//     message arrives, and the nodes still dormant at Dormancy.HaltRound
+//     halt together as a count. A run that reaches a ball of the graph
+//     pays for the ball; only the round-0 census of Algorithm 2 needs
+//     every node at round 0.
+//
+//   - Arithmetic owners. Shards are the equal ranges lo + w·(hi−lo)/W of
+//     the owned range and cluster peers are graph.ShardRange, so the owner
+//     of a message's destination is computed, not looked up.
 //
 // # Dynamic networks
 //

@@ -3,11 +3,12 @@ package congest
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/congest/frame"
-	"repro/internal/graph"
 )
 
 const (
@@ -44,14 +45,20 @@ type shard struct {
 	idx    int32
 	lo, hi int32
 
-	// live lists the shard's non-halted nodes in ascending id order; it is
-	// compacted in place as nodes halt, so stepping is O(live), not
-	// O(range).
-	live []int32
+	// due and queue are the shard's wake calendar (calendar.go): the nodes
+	// to step in the next step phase, and the timed wake-ups still ahead.
+	due   dueSet
+	queue wakeQueue
+
+	// live counts the shard's non-halted nodes, dormant ones included;
+	// dormant counts the nodes of a dormant Run not yet activated, and
+	// dormantHalted records that they halted at Network.dormantHalt.
+	live, dormant int64
+	dormantHalted bool
 
 	// out[s] buffers this shard's messages destined to shard s, in send
-	// order. Truncated (never freed) after each deliver phase.
-	out [][]pend
+	// order. Emptied (never freed) by each deliver phase.
+	out []outbox
 
 	// wireOut[p] buffers this shard's records destined to cluster peer p, in
 	// send order (nil outside cluster mode). Truncated (never freed) when
@@ -64,6 +71,10 @@ type shard struct {
 	// race-free, and carved state stays with its node across runs.
 	inboxes slab[Message]
 	rngs    slab[nodeRNG]
+
+	// page is the node page of the node being stepped or initialized: its
+	// sends charge their bandwidth there (Context.deposit).
+	page *nodePage
 
 	// Per-phase accumulators, merged and reset by the control loop.
 	steps        int64
@@ -107,38 +118,142 @@ func (s *slab[T]) carve(k int) []T {
 	return out
 }
 
-// runStep steps every live node of the shard in ascending id order,
-// compacting the live list as nodes halt.
+// wakeDormant activates, on its first message of the Run, a node that was
+// not initialized at round 0: a dormant one (see Dormancy). Until its
+// Process exists it sleeps as its Init would have made it.
+func (sh *shard) wakeDormant(c *Context, u int32) {
+	sh.activate(c, u)
+	switch {
+	case sh.dormantHalted:
+		c.halted = true // it halted with the other dormant nodes
+	case sh.net.dormantHalt > 0:
+		sh.dormant--
+		c.sleep, c.haltAtWake = sh.net.dormantHalt, true
+	default:
+		sh.dormant--
+		c.sleep = noWake
+	}
+}
+
+// activate rewinds a context for this Run. Carved inboxes and RNGs stay
+// with their node: the inbox keeps its warm capacity, the RNG is reseeded
+// by its first Rand of the run.
+func (sh *shard) activate(c *Context, u int32) {
+	*c = Context{sh: sh, id: u, inbox: c.inbox[:0], rng: c.rng, run: sh.net.runNo}
+}
+
+// schedule files a node after its Init or Step: halted, due next round, or
+// asleep until a timed wake-up. A wake-up past MaxRounds can never fire
+// (the run ends first), so it gets no queue entry: such a node, like a
+// dormant one, waits for mail only.
+func (sh *shard) schedule(c *Context, round int32) {
+	switch {
+	case c.halted:
+		sh.halts++
+		sh.live--
+	case c.sleep <= round:
+		sh.due.add(c.id - sh.lo)
+	case int(c.sleep) <= sh.net.cfg.MaxRounds && c.queued != c.sleep:
+		sh.queue.push(mkWake(c.sleep, c.id))
+		c.queued = c.sleep
+	}
+}
+
+// popWakes moves this round's timed wake-ups into the due set, and halts
+// the nodes whose SleepThenHalt ends now with no mail to read. Stale
+// entries — of nodes stepped early that slept elsewhere, or halted — are
+// dropped.
+func (sh *shard) popWakes(round int32) {
+	for len(sh.queue) > 0 && sh.queue.top().round() <= round {
+		w := sh.queue.top()
+		sh.queue.pop()
+		c := sh.net.node(w.id())
+		if c.queued == w.round() {
+			c.queued = 0
+		}
+		if c.halted || c.sleep != w.round() {
+			continue
+		}
+		i := c.id - sh.lo
+		if c.haltAtWake && !sh.due.has(i) {
+			c.halted = true
+			sh.halts++
+			sh.live--
+			continue
+		}
+		sh.due.add(i)
+	}
+}
+
+// nextWake returns the earliest round at which a node of the shard wakes
+// on its own: the first live queue entry, the dormant halt, or — when live
+// nodes remain that only mail can wake — MaxRounds+1, past the end of the
+// run. noWake means the shard has no live node.
+func (sh *shard) nextWake(round int32) int32 {
+	if sh.live == 0 {
+		return noWake
+	}
+	next := int32(min(sh.net.cfg.MaxRounds+1, int(noWake)-1))
+	if sh.dormant > 0 && sh.net.dormantHalt > round {
+		next = min(next, sh.net.dormantHalt)
+	}
+	for len(sh.queue) > 0 {
+		w := sh.queue.top()
+		c := sh.net.node(w.id())
+		if !c.halted && c.sleep == w.round() {
+			return min(next, w.round())
+		}
+		sh.queue.pop()
+		if c.queued == w.round() {
+			c.queued = 0
+		}
+	}
+	return next
+}
+
+// runStep steps the shard's due nodes in ascending id order. Dormant
+// nodes are created and initialized on their first step; dormant nodes
+// still waiting halt together at Network.dormantHalt.
 func (sh *shard) runStep() {
 	net := sh.net
 	round := int32(net.round)
-	w := 0
-	for _, u := range sh.live {
-		ctx := &net.ctxs[u]
-		if ctx.sleep > round && len(ctx.inbox) == 0 {
-			sh.skips++
-			if ctx.sleep < sh.minWake {
-				sh.minWake = ctx.sleep
-			}
-			sh.live[w] = u
-			w++
-			continue
-		}
-		ctx.sleep = 0
-		net.procs[u].Step(ctx)
-		sh.steps++
-		ctx.inbox = ctx.inbox[:0]
-		if ctx.err != nil && sh.err == nil {
-			sh.err = ctx.err
-		}
-		if ctx.halted {
-			sh.halts++
-			continue
-		}
-		sh.live[w] = u
-		w++
+	if sh.dormant > 0 && round == net.dormantHalt {
+		sh.halts += int(sh.dormant)
+		sh.live -= sh.dormant
+		sh.dormant, sh.dormantHalted = 0, true
 	}
-	sh.live = sh.live[:w]
+	sh.popWakes(round)
+	live, steps := sh.live, sh.steps
+	d := &sh.due
+	for j := range d.sum {
+		s := d.sum[j]
+		d.sum[j] = 0
+		for ; s != 0; s &= s - 1 {
+			wi := j<<6 | bits.TrailingZeros64(s)
+			x := d.words[wi]
+			d.words[wi] = 0
+			for ; x != 0; x &= x - 1 {
+				u := sh.lo + int32(wi<<6|bits.TrailingZeros64(x))
+				sh.page = net.pages[u>>pageShift].Load()
+				c := &sh.page.ctx[u&pageMask]
+				if c.proc == nil {
+					c.proc = net.newProc(int(c.id))
+					c.proc.Init(c)
+				}
+				c.sleep, c.haltAtWake = 0, false
+				c.proc.Step(c)
+				sh.steps++
+				c.inbox = c.inbox[:0]
+				if !c.halted && c.sleep <= round {
+					d.add(c.id - sh.lo) // awake: due next round
+				} else {
+					sh.schedule(c, round)
+				}
+			}
+		}
+	}
+	sh.skips += live - (sh.steps - steps)
+	sh.minWake = sh.nextWake(round)
 }
 
 // run executes one phase of this shard.
@@ -239,8 +354,8 @@ func (n *Network) mergeStep() roundReport {
 		sh.stepGrows = 0
 		// Bounces sit in the outboxes but traverse no edge.
 		rep.sent -= sh.drops
-		for _, o := range sh.out {
-			rep.sent += int64(len(o))
+		for s := range sh.out {
+			rep.sent += int64(sh.out[s].len())
 		}
 		for _, o := range sh.wireOut {
 			rep.sent += int64(len(o))
@@ -288,88 +403,92 @@ func (n *Network) finalize() *Stats {
 	return &st
 }
 
+// Dormancy declares that a Run's nodes start dormant, except Sources. A
+// dormant node's Init would only sleep — until HaltRound by SleepThenHalt
+// when HaltRound > 0, until its first message otherwise — so the engine
+// skips it: the node's Process is created and initialized when its first
+// message arrives, right before its first Step, and nodes still dormant at
+// HaltRound halt together without ever being touched. Results and Stats are
+// those of the same Run with every Init called at round 0, where dormant
+// nodes count as live sleepers.
+type Dormancy struct {
+	Sources   []int
+	HaltRound int
+}
+
 // Run executes the simulation. newProc is called once per node id to create
 // its Process; the caller typically captures the created processes to read
 // their outputs afterwards. Run returns the statistics and the first error
 // (bandwidth violation, illegal send, or round-limit exhaustion), if any.
 //
 // Run may be called repeatedly on the same network (optionally reseeded via
-// SetSeed between calls): every slab from the previous run — contexts,
-// mailboxes, carved inboxes and RNGs — is reset in place and reused, so
-// repeated runs amortize network construction. The returned Stats are a
-// private copy, unaffected by later runs. Concurrent Runs on one network
-// are not allowed.
+// SetSeed between calls): every slab from the previous run — node pages,
+// mailboxes, carved inboxes and RNGs — is reused, and a context is reset
+// when its node is first touched in the new run, so repeated runs amortize
+// network construction. The returned Stats are a private copy, unaffected
+// by later runs. Concurrent Runs on one network are not allowed.
 func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
+	return n.run(nil, newProc)
+}
+
+// RunDormant is Run for a protocol whose non-source nodes start dormant
+// (see Dormancy): newProc is called only for the sources and for the nodes
+// a message reaches, so the Run costs the vertices it touches.
+func (n *Network) RunDormant(d Dormancy, newProc func(id int) Process) (*Stats, error) {
+	return n.run(&d, newProc)
+}
+
+func (n *Network) run(dorm *Dormancy, newProc func(id int) Process) (*Stats, error) {
 	nn := n.g.N()
-	// lo/hi is the vertex range this process owns: the whole graph in
-	// single-process mode, this peer's contiguous slice in cluster mode.
-	// Only owned vertices are initialized, stepped and delivered to;
-	// shards partition the owned range.
-	lo, hi := 0, nn
-	cl := n.cfg.Cluster
-	if cl != nil {
-		lo, hi = graph.ShardRange(nn, cl.Peer, cl.Peers)
-	}
+	// Only owned vertices are initialized, stepped and delivered to; shards
+	// partition the owned range.
+	lo, hi := int(n.lo), int(n.hi)
 	local := hi - lo
-	nw := min(n.cfg.Workers, local, maxShards)
-	if nw < 1 || local < parallelMin {
-		nw = 1
-	}
-	if n.ctxs == nil {
-		// First run: allocate the run-state slabs. Inboxes and RNGs are
-		// not among them: each shard carves those when a node first needs
-		// one, bounded by its owned rows and nodes.
-		n.ctxs = make([]Context, nn)
-		n.procs = make([]Process, nn)
-		n.owner = make([]int32, nn)
+	if n.shards == nil {
+		// First run: make the shards. Contexts, inboxes and RNGs are not
+		// allocated here: pages and slabs follow the nodes a run reaches.
+		nw := min(n.cfg.Workers, local, maxShards)
+		if nw < 1 || local < parallelMin {
+			nw = 1
+		}
 		n.shards = make([]shard, nw)
+		if uint64(local)*uint64(nw) <= 1<<32 {
+			n.shardMul = ^uint64(0)/uint64(local) + 1
+		}
 		for w := range n.shards {
 			slo, shi := lo+w*local/nw, lo+(w+1)*local/nw
 			sh := &n.shards[w]
 			sh.net = n
 			sh.idx = int32(w)
 			sh.lo, sh.hi = int32(slo), int32(shi)
-			sh.out = make([][]pend, nw)
-			sh.live = make([]int32, 0, shi-slo)
+			sh.out = make([]outbox, nw)
+			sh.due = newDueSet(shi - slo)
 			sh.inboxes.left = int(n.off[shi] - n.off[slo])
 			sh.rngs.left = shi - slo
-			for u := slo; u < shi; u++ {
-				n.owner[u] = int32(w)
-			}
-			if cl != nil {
+			if cl := n.cfg.Cluster; cl != nil {
 				sh.wireOut = make([][]frame.Record, cl.Peers)
 			}
 		}
-		if cl != nil {
-			// Remote vertices carry their owning peer in the owner slab,
-			// encoded as -1-peer so deposit distinguishes local shard
-			// routing (≥ 0) from wire routing (< 0) with one comparison.
-			for p := 0; p < cl.Peers; p++ {
-				if p == cl.Peer {
-					continue
-				}
-				plo, phi := graph.ShardRange(nn, p, cl.Peers)
-				for u := plo; u < phi; u++ {
-					n.owner[u] = int32(-1 - p)
-				}
-			}
+		if cl := n.cfg.Cluster; cl != nil {
 			n.wireOut = make([][]frame.Record, cl.Peers)
 		}
 	}
 	n.resetRunState()
+	n.newProc = newProc
+	defer func() { n.newProc = nil }()
+	n.dormantHalt = 0
+	if dorm != nil {
+		n.dormantHalt = int32(min(dorm.HaltRound, int(noWake)-1))
+		for w := range n.shards {
+			sh := &n.shards[w]
+			sh.dormant = sh.live
+		}
+	}
 	if n.cfg.Topology != nil {
 		// Rewind the activity overlay to the all-active superset and let the
 		// provider establish the round-0 edge set before any Init runs.
 		n.resetTopology()
 		n.cfg.Topology.Start(&n.topo)
-	}
-	for u := lo; u < hi; u++ {
-		// Carved inboxes and RNGs stay with their node: the inbox keeps its
-		// warm capacity, the RNG is reseeded by its first Rand of the run.
-		c := &n.ctxs[u]
-		*c = Context{net: n, sh: &n.shards[n.owner[u]], id: int32(u),
-			inbox: c.inbox[:0], rng: c.rng}
-		n.procs[u] = newProc(u)
 	}
 	if len(n.shards) > 1 {
 		n.startPool()
@@ -379,33 +498,45 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 		}()
 	}
 
-	// Round 0: Init every owned node (sequential: Init is cheap and often
+	// Round 0: Init every owned node, or the owned sources of a dormant
+	// run, in ascending id order (sequential: Init is cheap and often
 	// empty). The Init round then closes like every other round.
 	n.round = 0
-	var initErr error
-	for u := lo; u < hi; u++ {
-		n.procs[u].Init(&n.ctxs[u])
-		if initErr = n.ctxs[u].err; initErr != nil {
-			break
-		}
+	initOne := func(u int) bool {
+		sh := &n.shards[n.shardOf(int32(u))]
+		c := n.node(int32(u))
+		sh.page = n.pages[u>>pageShift].Load()
+		sh.activate(c, int32(u))
+		c.proc = newProc(u)
+		c.proc.Init(c)
+		sh.schedule(c, 0)
+		return sh.err == nil
 	}
-	rep := n.mergeStep()
-	rep.err = initErr
-	for w := range n.shards {
-		sh := &n.shards[w]
-		for u := sh.lo; u < sh.hi; u++ {
-			if n.ctxs[u].halted {
-				rep.halts++
-			} else {
-				sh.live = append(sh.live, u)
+	if dorm == nil {
+		for u := lo; u < hi && initOne(u); u++ {
+		}
+	} else {
+		src := slices.Clone(dorm.Sources)
+		slices.Sort(src)
+		for i, u := range src {
+			if u < lo || u >= hi || (i > 0 && u == src[i-1]) {
+				continue
+			}
+			n.shards[n.shardOf(int32(u))].dormant--
+			if !initOne(u) {
+				break
 			}
 		}
 	}
+	rep := n.mergeStep()
 
 	halted := 0
 	// stepWork predicts the next step phase's work from the last report;
-	// round 1 may step every owned node.
+	// round 1 may step every initialized node.
 	stepWork := int64(local)
+	if dorm != nil {
+		stepWork = int64(len(dorm.Sources))
+	}
 	for {
 		// Close the round: deliver its messages and settle its global
 		// report — the local report on loopback, the fold of every peer's

@@ -2,7 +2,9 @@ package congest
 
 import (
 	"errors"
+	"math/bits"
 	"runtime"
+	"sync/atomic"
 
 	"repro/internal/congest/frame"
 	"repro/internal/graph"
@@ -23,10 +25,11 @@ type Network struct {
 	// binary search of u's row (slot).
 	off, adj []int32
 
-	// Per-directed-edge CONGEST bandwidth accounting with lazy, stamped
-	// per-round reset.
-	edgeBits  []int32
-	edgeStamp []int32
+	// stampBase+round stamps the CONGEST bandwidth use of the current
+	// round (nodePage.edges): a use with another stamp is stale and reads
+	// as zero. stampBase moves past every round of the previous Run, so no
+	// Run rewinds the stamps.
+	stampBase uint32
 
 	// Dynamic-topology overlay (nil on static networks): per-directed-edge
 	// activity plus per-node active-degree counters, sized for the superset
@@ -48,16 +51,27 @@ type Network struct {
 	published []int64
 	pubRound  []int32
 
-	// Run state. The slabs are allocated on the first Run and reused by
-	// every subsequent Run on the same network (see resetRunState), so
-	// multi-source sweeps pay the construction cost — the context slab and
-	// the inboxes and RNGs the shards carve — once per worker instead of
-	// once per source.
-	ctxs   []Context
-	procs  []Process
-	owner  []int32 // owner[u] = owning shard index, or -1-peer for remote vertices
+	// Run state, allocated on the first Run and reused by every later Run
+	// on the same network (see resetRunState), so multi-source sweeps pay
+	// the construction cost once per worker instead of once per source.
+	// Contexts and bandwidth stamps live in node pages allocated on first
+	// touch (pages.go), and a Context is activated per Run by its run
+	// stamp, so a Run pays for the nodes it reaches. lo and hi bound the
+	// owned range: the whole graph, or this cluster peer's slice. Shards are
+	// equal ranges lo + w·(hi−lo)/W and peers graph.ShardRange, so the
+	// owner of a vertex is arithmetic (shardOf, peerOf).
+	pages  []atomic.Pointer[nodePage]
+	lo, hi int32
 	shards []shard
-	pool   *workerPool
+	// shardMul is the reciprocal shardOf multiplies by, 0 when the owned
+	// range times the shard count does not fit in 32 bits.
+	shardMul uint64
+	pool     *workerPool
+	runNo    uint32
+	newProc  func(id int) Process // the current Run's factory
+	// dormantHalt is the round at which the current Run's dormant nodes
+	// halt (0: they wait for mail); see Dormancy.
+	dormantHalt int32
 
 	// wireOut[p] is the merged per-round record batch headed to peer p;
 	// wireIn[p] the decoded batch received from p, both nil outside cluster
@@ -100,12 +114,12 @@ func NewNetwork(g *graph.Graph, cfg Config) (*Network, error) {
 		bandwidth: cfg.BandwidthBits,
 	}
 	net.off, net.adj = g.CSR()
-	// Per-directed-edge accounting is sized by the materialized rows: exactly
-	// 2·M on a full graph, and ~1/P of that on a cluster peer's graph shard,
-	// where only owned and halo rows exist.
-	local := len(net.adj)
-	net.edgeBits = make([]int32, local)
-	net.edgeStamp = make([]int32, local) // rewound by every Run (resetRunState)
+	net.pages = make([]atomic.Pointer[nodePage], (n+pageMask)>>pageShift)
+	net.hi = int32(n)
+	if cl := cfg.Cluster; cl != nil {
+		lo, hi := graph.ShardRange(n, cl.Peer, cl.Peers)
+		net.lo, net.hi = int32(lo), int32(hi)
+	}
 	if cfg.Topology != nil {
 		net.active = make([]bool, 2*g.M())
 		net.activeDeg = make([]int32, n)
@@ -144,20 +158,33 @@ func (n *Network) Seed() int64 { return n.cfg.Seed }
 // resetRunState rewinds every piece of per-run state before each Run, so
 // a network can run again on the same graph reusing all allocated slabs:
 // the round counter and statistics restart from zero, the bandwidth stamps
-// are invalidated, and each shard's live list, mailboxes and accumulators
-// are truncated in place (capacity — the warm buffer sizes reached by the
-// previous run — is kept, which is the point of reuse).
+// move past the previous Run's rounds, and each shard's calendar,
+// mailboxes and accumulators are truncated in place (capacity — the warm
+// buffer sizes reached by the previous run — is kept, which is the point of
+// reuse). Contexts are not visited: a new run stamp makes each one stale
+// until its node is activated in this Run.
 func (n *Network) resetRunState() {
-	n.round = 0
-	n.stats = Stats{}
-	for i := range n.edgeStamp {
-		n.edgeStamp[i] = -1
+	n.stampBase += uint32(n.round) + 1
+	if n.stampBase >= 1<<31 {
+		// Stamps would wrap within a Run of at most MaxInt32 rounds: clear
+		// the touched pages once and restart the serial.
+		for k := range n.pages {
+			if pg := n.pages[k].Load(); pg != nil {
+				clear(pg.edges)
+			}
+		}
+		n.stampBase = 1
 	}
+	n.round = 0
+	n.runNo++
+	n.stats = Stats{}
 	for i := range n.shards {
 		sh := &n.shards[i]
-		sh.live = sh.live[:0]
+		sh.due.reset()
+		sh.queue = sh.queue[:0]
+		sh.live, sh.dormant, sh.dormantHalted = int64(sh.hi-sh.lo), 0, false
 		for s := range sh.out {
-			sh.out[s] = sh.out[s][:0]
+			sh.out[s].reset()
 		}
 		sh.steps, sh.skips, sh.wakes, sh.halts = 0, 0, 0, 0
 		sh.msgs, sh.bits, sh.drops = 0, 0, 0
@@ -175,17 +202,30 @@ func (n *Network) resetRunState() {
 	n.wireIn = nil
 }
 
-// chargeEdge adds bits to the edge slot's usage in the current round and
-// returns the new total. Uses a round stamp for O(1) lazy reset. Only the
-// edge's sender ever touches slot ei, so this is safe under parallel
-// stepping.
-func (n *Network) chargeEdge(ei int32, b int32) int {
-	if n.edgeStamp[ei] != int32(n.round) {
-		n.edgeStamp[ei] = int32(n.round)
-		n.edgeBits[ei] = 0
+// shardOf returns the index of the shard that owns vertex u of the owned
+// range: the largest w with lo + w·local/W ≤ u, which is
+// ⌊((u−lo+1)·W − 1)/local⌋. The division is a multiply by shardMul, the
+// 64-bit reciprocal of local, which is exact for 32-bit dividends (Lemire,
+// Kaser and Kurz, "Faster Remainder by Direct Computation", 2019); a
+// division instruction would cost the message path about a fifth.
+func (n *Network) shardOf(u int32) int {
+	nw := uint64(len(n.shards))
+	if nw == 1 {
+		return 0
 	}
-	n.edgeBits[ei] += b
-	return int(n.edgeBits[ei])
+	x := uint64(u-n.lo+1)*nw - 1
+	if n.shardMul == 0 {
+		return int(x / uint64(n.hi-n.lo)) // the dividend may exceed 32 bits
+	}
+	q, _ := bits.Mul64(n.shardMul, x)
+	return int(q)
+}
+
+// peerOf returns the cluster peer that owns vertex u: the inverse of
+// graph.ShardRange.
+func (n *Network) peerOf(u int32) int {
+	p := uint64(n.cfg.Cluster.Peers)
+	return int((uint64(u+1)*p - 1) / uint64(n.g.N()))
 }
 
 // slot returns the CSR slot of the directed edge u→v, or -1 when v is not

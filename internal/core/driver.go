@@ -160,12 +160,10 @@ func (d *driver) issueFloodStart(ctx *congest.Context) {
 	default:
 		d.w = d.sh.scale.One // restart
 	}
-	for _, c := range d.tree.Children {
-		ctx.Send(int(c), congest.Message{
-			Kind: protocol.KindFloodStart, Seq: d.phaseNo,
-			Value: int64(f0), Aux: int64(flen), Bits: d.sh.sizes.Control(),
-		})
-	}
+	d.tree.SendChildren(ctx, congest.Message{
+		Kind: protocol.KindFloodStart, Seq: d.phaseNo,
+		Value: int64(f0), Aux: int64(flen), Bits: d.sh.sizes.Control(),
+	})
 	d.state = dsFloodWait
 }
 

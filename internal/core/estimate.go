@@ -13,8 +13,10 @@ import (
 // ℓ up front (it is an input of ESTIMATE-RW-PROBABILITY), floods for exactly
 // ℓ steps and halts. Step t sends during round t and is ingested during
 // round t+1. A node holding no mass has nothing to do until mass arrives or
-// round ℓ+1 ends the run, so it sleeps until then and arrival wakes it:
-// only the ℓ-ball around the source is ever stepped before the last round.
+// round ℓ+1 ends the run, so it sleeps until then and halts there unless
+// mass arrives first; a holder does the same after its last share in round
+// ℓ. Only the ℓ-ball around the source is ever stepped, and in round ℓ+1
+// only the nodes mass reached in that round.
 type rwProc struct {
 	sh  *shared
 	ell int
@@ -32,20 +34,25 @@ func (p *rwProc) Step(ctx *congest.Context) {
 	}
 	p.w += in
 	r := ctx.Round()
-	if r <= p.ell && p.w > 0 {
-		emitShares(ctx, &p.w, p.sh.cfg.Lazy, 0, p.sh.sizes.Value())
-	}
 	if r >= p.ell+1 {
 		ctx.Halt()
+		return
+	}
+	if p.w > 0 {
+		emitShares(ctx, &p.w, p.sh.cfg.Lazy, 0, p.sh.sizes.Value())
+	}
+	if r == p.ell {
+		ctx.SleepThenHalt(1)
 		return
 	}
 	p.sleepIfEmpty(ctx)
 }
 
-// sleepIfEmpty sleeps a node that holds no mass until round ℓ+1.
+// sleepIfEmpty sleeps a node that holds no mass until round ℓ+1, where it
+// halts.
 func (p *rwProc) sleepIfEmpty(ctx *congest.Context) {
 	if p.w == 0 {
-		ctx.Sleep(p.ell + 1 - ctx.Round())
+		ctx.SleepThenHalt(p.ell + 1 - ctx.Round())
 	}
 }
 
@@ -112,21 +119,22 @@ func EstimateRWProbability(g *graph.Graph, source, ell int, cfg Config) (*RWEsti
 	if err != nil {
 		return nil, err
 	}
-	procs := make([]rwProc, g.N())
-	stats, err := net.Run(func(id int) congest.Process {
-		p := &procs[id]
-		*p = rwProc{sh: sh, ell: ell}
-		if id == source {
-			p.w = scale.One
-		}
-		return p
-	})
+	// Every node but the source starts dormant: its Init would only sleep
+	// until ℓ+1, so the engine creates it when mass first reaches it.
+	procs := congest.NewPages[rwProc](g.N())
+	stats, err := net.RunDormant(congest.Dormancy{Sources: []int{source}, HaltRound: ell + 1},
+		func(id int) congest.Process {
+			p := procs.At(id)
+			*p = rwProc{sh: sh, ell: ell}
+			if id == source {
+				p.w = scale.One
+			}
+			return p
+		})
 	if err != nil {
 		return nil, err
 	}
 	out := &RWEstimate{W: make([]int64, g.N()), Scale: scale, Stats: stats}
-	for i := range procs {
-		out.W[i] = procs[i].w
-	}
+	procs.Touched(func(i int, p *rwProc) { out.W[i] = p.w })
 	return out, nil
 }

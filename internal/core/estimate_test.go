@@ -12,10 +12,12 @@ import (
 // TestEstimateSparseFootprint: after ℓ rounds Algorithm 1 has moved mass
 // only inside the ℓ-ball around the source, so a run must pay for the
 // vertices it touches, not for n. On a 100×100 torus at ℓ = 16 (545 of
-// 10^4 vertices reached) the engine steps only holders of mass before the
-// final round and carves inboxes only for receivers: at most 2n Step calls
-// and 256 heap bytes per vertex, with W bit-identical to the centralized
-// fixed-point walk, ℓ+1 rounds, and the same counts at every worker count.
+// 10^4 vertices reached) the engine steps only holders of mass, and in
+// round ℓ+1 only the nodes mass reached; dormant nodes are never created,
+// and contexts, stamps and inboxes follow the ball: at most 2n Step calls
+// and 64 heap bytes per vertex, the n-entry W's 8 included, with W
+// bit-identical to the centralized fixed-point walk, ℓ+1 rounds, and the
+// same counts at every worker count.
 func TestEstimateSparseFootprint(t *testing.T) {
 	g, err := gen.Torus(100, 100)
 	if err != nil {
@@ -38,8 +40,8 @@ func TestEstimateSparseFootprint(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			best = min(best, after.TotalAlloc-before.TotalAlloc)
 		}
-		if perVertex := float64(best) / float64(n); perVertex > 256 {
-			t.Errorf("workers=%d: %.0f B per vertex allocated, want ≤ 256", workers, perVertex)
+		if perVertex := float64(best) / float64(n); perVertex > 64 {
+			t.Errorf("workers=%d: %.0f B per vertex allocated, want ≤ 64", workers, perVertex)
 		}
 		st := est.Stats
 		if st.ActiveSteps > 2*int64(n) {

@@ -92,7 +92,7 @@ func NewSweepPool(g *graph.Graph, cfg Config, workers int) (*SweepPool, error) {
 		p.engCfg.Workers = ew
 	}
 	newRunner := func(net *congest.Network) (sweep.Runner[*Result], error) {
-		nodes := make([]node, g.N()) // worker-owned responder slab
+		nodes := congest.NewPages[node](g.N()) // worker-owned responder slab
 		return func(net *congest.Network, source int, seed int64) (*Result, error) {
 			return p.runOn(net, source, seed, nodes)
 		}, nil

@@ -133,12 +133,10 @@ func (nd *node) onFloodStart(ctx *congest.Context, m congest.Message) {
 	if nd.sh.cfg.Mode != ExactLocal {
 		nd.w = 0
 	}
-	for _, c := range nd.tree.Children {
-		ctx.Send(int(c), congest.Message{
-			Kind: protocol.KindFloodStart, Seq: m.Seq,
-			Value: m.Value, Aux: m.Aux, Bits: nd.sh.sizes.Control(),
-		})
-	}
+	nd.tree.SendChildren(ctx, congest.Message{
+		Kind: protocol.KindFloodStart, Seq: m.Seq,
+		Value: m.Value, Aux: m.Aux, Bits: nd.sh.sizes.Control(),
+	})
 }
 
 // maybeFlood emits this round's walk shares when the round lies in the
@@ -239,9 +237,7 @@ func (nd *node) openAgg(ctx *congest.Context, kind uint8, seq int32, mid int64, 
 	if kind == protocol.KindQuery {
 		fwd.Bits = sz.Value()
 	}
-	for _, c := range nd.tree.Children {
-		ctx.Send(int(c), fwd)
-	}
+	nd.tree.SendChildren(ctx, fwd)
 	if nd.agg.Complete() {
 		nd.agg.ReplyUp(ctx, sz, &nd.tree)
 	}

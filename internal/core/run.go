@@ -46,10 +46,10 @@ func prepare(g *graph.Graph, cfg Config) (*prepared, error) {
 // runOn executes one per-source computation on the given network — freshly
 // built by Run, or a sweep worker's reused one (already reset and reseeded
 // by congest.Network.Run; seed is recorded in the run's config). nodes is
-// the caller's responder slab: one slab for all responder processes makes
-// node creation O(1) allocations for the whole network instead of one per
-// vertex, and sweep workers reuse it across sources.
-func (p *prepared) runOn(net *congest.Network, source int, seed int64, nodes []node) (*Result, error) {
+// the caller's responder slab: paged, so node creation costs one
+// allocation per page of vertices instead of one per vertex, and sweep
+// workers reuse it across sources.
+func (p *prepared) runOn(net *congest.Network, source int, seed int64, nodes *congest.Pages[node]) (*Result, error) {
 	if source < 0 || source >= p.g.N() {
 		return nil, fmt.Errorf("core: source %d out of range [0,%d)", source, p.g.N())
 	}
@@ -68,7 +68,7 @@ func (p *prepared) runOn(net *congest.Network, source int, seed int64, nodes []n
 			drv = newDriver(sh)
 			return drv
 		}
-		nd := &nodes[id]
+		nd := nodes.At(id)
 		*nd = *newNode(sh)
 		return nd
 	})
@@ -104,7 +104,7 @@ func Run(g *graph.Graph, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.runOn(net, p.cfg.Source, p.cfg.Engine.Seed, make([]node, g.N()))
+	return p.runOn(net, p.cfg.Source, p.cfg.Engine.Seed, congest.NewPages[node](g.N()))
 }
 
 // ApproxLocalMixingTime runs Algorithm 2 (LOCAL-MIXING-TIME, Theorem 1): a

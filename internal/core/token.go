@@ -85,7 +85,13 @@ type tokenProc struct {
 	bounces   int64 // token's cumulative bounce count (travels in Aux)
 }
 
-func (p *tokenProc) Init(ctx *congest.Context) {}
+// Init parks every node but the holder until mail arrives. For them that is
+// all it does, which is what lets TokenWalk run them dormant.
+func (p *tokenProc) Init(ctx *congest.Context) {
+	if !p.holder {
+		ctx.Sleep(idleSleep)
+	}
+}
 
 func (p *tokenProc) Step(ctx *congest.Context) {
 	for _, m := range ctx.Inbox() {
@@ -336,9 +342,11 @@ func TokenWalk(g *graph.Graph, source, steps int, opts ...Option) (*TokenWalkRes
 	if err != nil {
 		return nil, err
 	}
-	procs := make([]tokenProc, g.N())
-	stats, err := net.Run(func(id int) congest.Process {
-		p := &procs[id]
+	// Every node but the source starts dormant: it has nothing to do until
+	// the token or a flood reaches it.
+	procs := congest.NewPages[tokenProc](g.N())
+	stats, err := net.RunDormant(congest.Dormancy{Sources: []int{source}}, func(id int) congest.Process {
+		p := procs.At(id)
 		*p = tokenProc{sh: sh, id: int32(id)}
 		if id == source {
 			p.holder = true
@@ -349,19 +357,18 @@ func TokenWalk(g *graph.Graph, source, steps int, opts ...Option) (*TokenWalkRes
 	if err != nil {
 		return nil, fmt.Errorf("core: token walk failed: %w", err)
 	}
-	src := &procs[source]
+	src := procs.At(source)
 	if src.sh == nil {
 		// Cluster peer that does not own the source (the engine constructs
 		// processes only for its vertex range): every halted node learned
 		// the outcome from the termination/abort flood, so report from any
 		// local process. Restarts are source-side knowledge; the source
 		// owner's result is authoritative (internal/cluster merges).
-		for i := range procs {
-			if procs[i].sh != nil {
-				src = &procs[i]
-				break
+		procs.Touched(func(_ int, p *tokenProc) {
+			if src.sh == nil && p.sh != nil {
+				src = p
 			}
-		}
+		})
 		if src.sh == nil {
 			return nil, errors.New("core: token walk constructed no local processes")
 		}

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/congest"
 	"repro/internal/fixedpoint"
@@ -121,6 +122,12 @@ type Tree struct {
 	Depth    int64
 	Children []int32
 
+	// Row positions of Parent and Children in this node's adjacency row,
+	// so tree sends skip Send's row search (SendParent, SendChildren).
+	// childPos catches up with Children on the first send to them.
+	parentPos int32
+	childPos  []int32
+
 	// Census bookkeeping.
 	joinDeadline  int // round at which the children list is final
 	childrenFinal bool
@@ -175,9 +182,12 @@ func (t *Tree) OnBFS(ctx *congest.Context, sz Sizes, m congest.Message) bool {
 	t.Depth = m.Aux + 1
 	t.sizeAcc = 1
 	t.depthAcc = t.Depth
-	ctx.Send(int(m.From), congest.Message{Kind: KindJoin, Seq: m.Seq, Bits: sz.Control()})
+	row := ctx.Neighbors()
+	pos, _ := slices.BinarySearch(row, m.From)
+	t.parentPos = int32(pos)
+	t.SendParent(ctx, congest.Message{Kind: KindJoin, Seq: m.Seq, Bits: sz.Control()})
 	if t.Depth < m.Value { // below the depth cap: keep flooding
-		for i, v := range ctx.Neighbors() {
+		for i, v := range row {
 			if v != m.From {
 				ctx.SendNbr(i, congest.Message{
 					Kind:  KindBFS,
@@ -236,7 +246,7 @@ func (t *Tree) Advance(ctx *congest.Context, sz Sizes) {
 		t.MaxDepth = t.depthAcc
 		return
 	}
-	ctx.Send(int(t.Parent), congest.Message{
+	t.SendParent(ctx, congest.Message{
 		Kind:  KindCensus,
 		Seq:   t.Epoch,
 		Value: t.sizeAcc,
@@ -254,6 +264,27 @@ func (t *Tree) Deadline() (int, bool) {
 		return 0, false
 	}
 	return t.joinDeadline, true
+}
+
+// SendParent sends m to the parent, addressed by its row position.
+func (t *Tree) SendParent(ctx *congest.Context, m congest.Message) {
+	ctx.SendNbr(int(t.parentPos), m)
+}
+
+// SendChildren sends m to every child in join order, addressed by row
+// position; a child's position is found once, on the first send after it
+// joined.
+func (t *Tree) SendChildren(ctx *congest.Context, m congest.Message) {
+	if len(t.childPos) < len(t.Children) {
+		row := ctx.Neighbors()
+		for _, c := range t.Children[len(t.childPos):] {
+			pos, _ := slices.BinarySearch(row, c)
+			t.childPos = append(t.childPos, int32(pos))
+		}
+	}
+	for _, pos := range t.childPos {
+		ctx.SendNbr(int(pos), m)
+	}
 }
 
 // Agg tracks one reactive convergecast (SETR→MINMAX, QUERY→REPLY or
@@ -344,7 +375,7 @@ func (a *Agg) ReplyUp(ctx *congest.Context, sz Sizes, t *Tree) {
 	case KindCheck:
 		m = congest.Message{Kind: KindCheckReply, Seq: a.Seq, Value: a.Sum, Bits: sz.Sum(ctx.N())}
 	}
-	ctx.Send(int(t.Parent), m)
+	t.SendParent(ctx, m)
 	a.Active = false
 	a.Done = false
 }

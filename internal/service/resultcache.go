@@ -43,7 +43,7 @@ type resultEntry struct {
 
 // cachedResult is the stored portion of a Response: the runner's result,
 // the run-graph descriptor for churned runs, and the JSON-encoded size used
-// for the bytes gauge.
+// for the bytes gauge (measured by lead before the entry is inserted).
 type cachedResult struct {
 	result   any
 	runGraph *GraphInfo
@@ -183,17 +183,35 @@ func (c *ResultCache) lead(key string, f *flight, compute func() (*cachedResult,
 		close(f.done)
 	}()
 	f.val, f.err = compute()
+	if f.err == nil && f.val.bytes == 0 {
+		f.val.bytes = encodedSize(f.val.result)
+	}
 	panicked = false
+}
+
+// encodedSize returns the length of v's JSON encoding, for the bytes gauge.
+// It counts the encoder's output instead of keeping it, and the caller
+// measures before it takes the cache lock, so lookups never wait on an
+// encode.
+func encodedSize(v any) int64 {
+	var n byteCounter
+	if err := json.NewEncoder(&n).Encode(v); err != nil {
+		return 0
+	}
+	return int64(n) - 1 // Encode ends the value with a newline
+}
+
+// byteCounter is an io.Writer that keeps only the number of bytes written.
+type byteCounter int64
+
+func (n *byteCounter) Write(p []byte) (int, error) {
+	*n += byteCounter(len(p))
+	return len(p), nil
 }
 
 // insertLocked stores a completed result and evicts from the LRU tail past
 // capacity. Caller holds mu.
 func (c *ResultCache) insertLocked(key string, val *cachedResult) {
-	if val.bytes == 0 {
-		if b, err := json.Marshal(val.result); err == nil {
-			val.bytes = int64(len(b))
-		}
-	}
 	c.items[key] = c.ll.PushFront(&resultEntry{key: key, val: val})
 	c.ctr.resultBytes.Add(val.bytes)
 	for c.ll.Len() > c.cap {

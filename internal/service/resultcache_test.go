@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"sync"
@@ -177,5 +178,72 @@ func TestDeadlineCancelsSweep(t *testing.T) {
 	}
 	if m := svc.Metrics(); m.CachedResults != 0 {
 		t.Fatal("cancelled sweep left a result-cache entry")
+	}
+}
+
+// blockingResult is a result whose JSON encoding waits for release.
+type blockingResult struct{ started, release chan struct{} }
+
+func (b *blockingResult) MarshalJSON() ([]byte, error) {
+	close(b.started)
+	<-b.release
+	return []byte(`"done"`), nil
+}
+
+// TestResultSizeEncodesOutsideLock: the bytes gauge encodes each fresh
+// result, and that encode must not hold the cache lock, or every lookup —
+// the hit path of every request — waits for it.
+func TestResultSizeEncodesOutsideLock(t *testing.T) {
+	c := newResultCache(4, &counters{})
+	ctx := context.Background()
+	if _, _, _, err := c.do(ctx, "other", func() (*cachedResult, error) { return &cachedResult{result: "x"}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	br := &blockingResult{started: make(chan struct{}), release: make(chan struct{})}
+	inserted := make(chan error, 1)
+	go func() {
+		_, _, _, err := c.do(ctx, "slow", func() (*cachedResult, error) { return &cachedResult{result: br}, nil })
+		inserted <- err
+	}()
+	<-br.started
+	found := make(chan bool, 1)
+	go func() {
+		_, ok := c.lookup("other")
+		found <- ok
+	}()
+	select {
+	case ok := <-found:
+		if !ok {
+			t.Error("lookup of a cached key missed")
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("lookup blocked while another result was being encoded")
+	}
+	close(br.release)
+	if err := <-inserted; err != nil {
+		t.Fatal(err)
+	}
+	if got := c.ctr.resultBytes.Load(); got != int64(len(`"x"`)+len(`"done"`)) {
+		t.Errorf("bytes gauge %d, want %d", got, len(`"x"`)+len(`"done"`))
+	}
+}
+
+// TestResultBytesGauge: lmtd_result_cache_bytes reads the length of each
+// cached result's JSON encoding.
+func TestResultBytesGauge(t *testing.T) {
+	for _, task := range []spec.TaskSpec{
+		{Kind: spec.KindLocal, Beta: 4, Eps: 0.05, Seed: 5},
+		{Kind: spec.KindEstimate, Lazy: true, Steps: 16, C: 3},
+		{Kind: spec.KindSweep, Beta: 4, Eps: 0.1, Sample: 3, Seed: 2},
+	} {
+		svc := New(Options{})
+		resp := mustRun(t, svc, Request{Graph: ringSpec, Task: task})
+		b, err := json.Marshal(resp.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := svc.Metrics().ResultBytes; got != int64(len(b)) {
+			t.Errorf("%s: bytes gauge %d, want len(json.Marshal(result)) = %d", task.Kind, got, len(b))
+		}
 	}
 }
