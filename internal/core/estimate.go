@@ -23,7 +23,7 @@ type rwProc struct {
 	w   int64
 }
 
-func (p *rwProc) Init(ctx *congest.Context) { p.sleepIfEmpty(ctx) }
+func (p *rwProc) Init(ctx *congest.Context) { p.sleep(ctx) }
 
 func (p *rwProc) Step(ctx *congest.Context) {
 	var in int64
@@ -33,26 +33,22 @@ func (p *rwProc) Step(ctx *congest.Context) {
 		}
 	}
 	p.w += in
-	r := ctx.Round()
-	if r >= p.ell+1 {
+	if ctx.Round() >= p.ell+1 {
 		ctx.Halt()
 		return
 	}
 	if p.w > 0 {
 		emitShares(ctx, &p.w, p.sh.cfg.Lazy, 0, p.sh.sizes.Value())
 	}
-	if r == p.ell {
-		ctx.SleepThenHalt(1)
-		return
-	}
-	p.sleepIfEmpty(ctx)
+	p.sleep(ctx)
 }
 
-// sleepIfEmpty sleeps a node that holds no mass until round ℓ+1, where it
-// halts.
-func (p *rwProc) sleepIfEmpty(ctx *congest.Context) {
-	if p.w == 0 {
-		ctx.SleepThenHalt(p.ell + 1 - ctx.Round())
+// sleep parks a node with nothing left to send — no mass, or its last
+// share sent in round ℓ — until round ℓ+1, where it halts unless mass
+// arrives first.
+func (p *rwProc) sleep(ctx *congest.Context) {
+	if r := ctx.Round(); p.w == 0 || r == p.ell {
+		ctx.SleepThenHalt(p.ell + 1 - r)
 	}
 }
 
