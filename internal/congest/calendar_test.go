@@ -579,36 +579,3 @@ func TestOwnerArithmetic(t *testing.T) {
 		}
 	}
 }
-
-// TestOutboxChunks: an outbox keeps send order across many chunks, caps
-// its chunk size, counts one growth per chunk, and reuses its chunks after
-// a reset.
-func TestOutboxChunks(t *testing.T) {
-	var o outbox
-	var grows int64
-	const n = 100_000 // about a hundred chunks
-	for round := 0; round < 2; round++ {
-		for i := 0; i < n; i++ {
-			o.add(&grows).to = int32(i)
-		}
-		if o.len() != n {
-			t.Fatalf("round %d: len %d, want %d", round, o.len(), n)
-		}
-		i := int32(0)
-		for _, c := range o.held() {
-			if cap(c) > outChunkMin<<outChunkDoublings {
-				t.Fatalf("chunk of capacity %d", cap(c))
-			}
-			for _, p := range c {
-				if p.to != i {
-					t.Fatalf("round %d: entry %d holds %d", round, i, p.to)
-				}
-				i++
-			}
-		}
-		if int64(len(o.chunks)) != grows {
-			t.Errorf("round %d: %d chunks, %d growths counted", round, len(o.chunks), grows)
-		}
-		o.reset()
-	}
-}

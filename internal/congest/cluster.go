@@ -158,22 +158,12 @@ func (sh *shard) runDeliverWire() {
 			}
 			sh.msgs++
 			sh.bits += int64(r.Bits)
-			pg := net.pages[r.To>>pageShift].Load()
-			if pg == nil {
-				pg = net.touchPage(r.To)
-			}
-			dst := &pg.ctx[r.To&pageMask]
-			if dst.run != net.runNo {
-				sh.wakeDormant(dst, r.To)
-			}
-			if dst.halted {
+			dst := sh.receiver(r.To)
+			if dst == nil {
 				continue
 			}
 			if len(dst.inbox) == 0 {
 				sh.arrive(dst, rnd)
-			}
-			if cap(dst.inbox) == 0 {
-				sh.carveInbox(dst)
 			}
 			var m *Message
 			dst.inbox, m = extend(dst.inbox, &sh.deliverGrows)

@@ -42,7 +42,10 @@ const (
 func (m Message) Bounced() bool { return m.Flags&FlagBounced != 0 }
 
 // Process is the per-node algorithm. Init runs before round 1 and may send
-// messages (delivered in round 1). Step runs once per round.
+// messages (delivered in round 1). Step runs once per round. Under
+// Network.RunDormant a dormant node's Init instead runs in the round of its
+// first message, right before its first Step, concurrently with other
+// nodes' Steps and Inits.
 type Process interface {
 	Init(ctx *Context)
 	Step(ctx *Context)
@@ -152,7 +155,7 @@ type Stats struct {
 	// every other field they describe the execution, not the simulation:
 	// more workers mean more (smaller) buffers warming up, so these two may
 	// differ across worker counts while all results stay identical.
-	StepGrows    int64 // outbox chunk allocations during step phases
+	StepGrows    int64 // outbox growth events during step phases
 	DeliverGrows int64 // inbox growth events during deliver phases
 
 	// Dynamic-topology counters (zero on static networks).

@@ -195,7 +195,8 @@ func (c *Context) deposit(slot, to int32, m Message) {
 	sh, net := c.sh, c.sh.net
 	if net.active != nil && m.Flags&FlagVolatile != 0 && !net.active[slot] {
 		sh.drops++
-		p := sh.out[sh.idx].add(&sh.stepGrows)
+		var p *pend
+		sh.out[sh.idx], p = extend(sh.out[sh.idx], &sh.stepGrows)
 		p.to = c.id
 		p.msg = m
 		p.msg.From = to
@@ -233,14 +234,9 @@ func (c *Context) deposit(slot, to int32, m Message) {
 		r.Kind, r.Flags = m.Kind, m.Flags
 		return
 	}
-	// outbox.add by hand: with the chunk switch in it, add is too costly for
-	// the inliner, and this is the per-message path.
-	o := &sh.out[net.shardOf(to)]
-	if len(o.last) == cap(o.last) {
-		o.next(&sh.stepGrows)
-	}
-	o.last = o.last[:len(o.last)+1]
-	p := &o.last[len(o.last)-1]
+	s := net.shardOf(to)
+	var p *pend
+	sh.out[s], p = extend(sh.out[s], &sh.stepGrows)
 	p.to = to
 	p.msg = m
 	p.msg.From = c.id
@@ -257,16 +253,17 @@ func (c *Context) fail(err error) {
 
 // extend lengthens buf by one element and returns it with a pointer to the
 // new element, whose previous contents the caller must overwrite. A growth
-// of the backing array is counted in *grows.
+// of the backing array is counted in *grows. The capacity doubles: append
+// grows large slices by a quarter, which allocates about 5× the final size
+// on the way to it instead of 2×, and a fresh network's outboxes grow
+// within its first Run.
 func extend[T any](buf []T, grows *int64) ([]T, *T) {
 	n := len(buf)
 	if n == cap(buf) {
 		*grows++
-		var zero T
-		buf = append(buf, zero)
-	} else {
-		buf = buf[:n+1]
+		buf = append(make([]T, 0, max(2*n, 4)), buf...)
 	}
+	buf = buf[:n+1]
 	return buf, &buf[n]
 }
 

@@ -35,12 +35,12 @@
 //     steps them, delivers into their inboxes and tracks their liveness,
 //     so no lock is ever taken on per-node state.
 //
-//   - Sharded mailboxes. Each shard keeps one outbox per destination
-//     shard (a W×W matrix of chunked buffers that grow without copying),
-//     emptied and never freed. Shard s delivers by draining out[w][s] for
-//     w = 0..W-1 in order. Shards are contiguous id ranges stepped in
-//     ascending id order, so this reproduces the canonical "ascending
-//     sender id, then send order" inbox ordering for every worker count.
+//   - Sharded mailboxes. Each shard keeps one flat outbox buffer per
+//     destination shard (a W×W matrix of []pend slices), truncated and
+//     never freed. Shard s delivers by draining out[w][s] for w = 0..W-1
+//     in order. Shards are contiguous id ranges stepped in ascending id
+//     order, so this reproduces the canonical "ascending sender id, then
+//     send order" inbox ordering for every worker count.
 //
 //   - CSR edge slots. The directed edge u→v is named by its position in
 //     the graph's own CSR arrays. Send finds it by binary search of u's
@@ -72,16 +72,18 @@
 //     deg(v), is carved from its shard's slab on the node's first
 //     delivery, and an RNG on its first Context.Rand, which seeds it from
 //     (seed, id). Carved state stays with its node across Runs of a reused
-//     network. Protocols page their own per-node state the same way
+//     network. Protocols may page their own per-node state the same way
 //     (Pages).
 //
 //   - Dormant nodes. RunDormant starts every node but the sources
 //     dormant: a protocol declares that their Init would only sleep, so a
 //     dormant node's Process is created and initialized when its first
 //     message arrives, and the nodes still dormant at Dormancy.HaltRound
-//     halt together as a count. A run that reaches a ball of the graph
-//     pays for the ball; only the round-0 census of Algorithm 2 needs
-//     every node at round 0.
+//     halt together as a count. Such an Init runs in the round of the
+//     node's first message, on the shard worker that steps it, so the
+//     protocol's process factory must be safe for concurrent calls. A run
+//     that reaches a ball of the graph pays for the ball; only the round-0
+//     census of Algorithm 2 needs every node at round 0.
 //
 //   - Arithmetic owners. Shards are the equal ranges lo + w·(hi−lo)/W of
 //     the owned range and cluster peers are graph.ShardRange, so the owner

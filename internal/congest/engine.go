@@ -51,14 +51,12 @@ type shard struct {
 	queue wakeQueue
 
 	// live counts the shard's non-halted nodes, dormant ones included;
-	// dormant counts the nodes of a dormant Run not yet activated, and
-	// dormantHalted records that they halted at Network.dormantHalt.
+	// dormant counts the nodes of a dormant Run not yet activated.
 	live, dormant int64
-	dormantHalted bool
 
 	// out[s] buffers this shard's messages destined to shard s, in send
-	// order. Emptied (never freed) by each deliver phase.
-	out []outbox
+	// order. Truncated (never freed) after each deliver phase.
+	out [][]pend
 
 	// wireOut[p] buffers this shard's records destined to cluster peer p, in
 	// send order (nil outside cluster mode). Truncated (never freed) when
@@ -105,13 +103,14 @@ type slab[T any] struct {
 	left, given int // elements the uncarved owned nodes may still take; elements carved
 }
 
-// carve cuts k elements for one node. A new backing array doubles what the
-// slab has given (at least slabMin and k) but never exceeds left, so when
-// every owned node takes its share the arrays add up to about one
-// up-front allocation of the owned range.
+// carve cuts k elements for one node. A new backing array holds half what
+// the slab has given (at least slabMin and k), so a run that reaches part
+// of the graph leaves at most a third of its arrays unused, but never more
+// than left, so when every owned node takes its share the arrays add up to
+// about one up-front allocation of the owned range.
 func (s *slab[T]) carve(k int) []T {
 	if len(s.free) < k {
-		s.free = make([]T, min(s.left, max(k, slabMin, s.given)))
+		s.free = make([]T, min(s.left, max(k, slabMin, s.given/2)))
 	}
 	out := s.free[:k:k]
 	s.free, s.left, s.given = s.free[k:], s.left-k, s.given+k
@@ -120,19 +119,26 @@ func (s *slab[T]) carve(k int) []T {
 
 // wakeDormant activates, on its first message of the Run, a node that was
 // not initialized at round 0: a dormant one (see Dormancy). Until its
-// Process exists it sleeps as its Init would have made it.
-func (sh *shard) wakeDormant(c *Context, u int32) {
-	sh.activate(c, u)
-	switch {
-	case sh.dormantHalted:
-		c.halted = true // it halted with the other dormant nodes
-	case sh.net.dormantHalt > 0:
-		sh.dormant--
-		c.sleep, c.haltAtWake = sh.net.dormantHalt, true
-	default:
-		sh.dormant--
-		c.sleep = noWake
+// Process exists it sleeps as its Init would have made it, or it is halted
+// when the dormant nodes already halted at Network.dormantHalt. It reports
+// false in an eager Run, where a stale context belongs to a node whose Init
+// never ran because an earlier Init failed.
+func (sh *shard) wakeDormant(c *Context, u int32) bool {
+	net := sh.net
+	if net.newProc == nil {
+		return false
 	}
+	sh.activate(c, u)
+	c.sleep = noWake
+	if h := net.dormantHalt; h > 0 {
+		if int32(net.round) >= h {
+			c.halted = true // it halted with the other dormant nodes
+			return true
+		}
+		c.sleep, c.haltAtWake = h, true
+	}
+	sh.dormant--
+	return true
 }
 
 // activate rewinds a context for this Run. Carved inboxes and RNGs stay
@@ -220,7 +226,7 @@ func (sh *shard) runStep() {
 	if sh.dormant > 0 && round == net.dormantHalt {
 		sh.halts += int(sh.dormant)
 		sh.live -= sh.dormant
-		sh.dormant, sh.dormantHalted = 0, true
+		sh.dormant = 0
 	}
 	sh.popWakes(round)
 	live, steps := sh.live, sh.steps
@@ -355,7 +361,7 @@ func (n *Network) mergeStep() roundReport {
 		// Bounces sit in the outboxes but traverse no edge.
 		rep.sent -= sh.drops
 		for s := range sh.out {
-			rep.sent += int64(sh.out[s].len())
+			rep.sent += int64(len(sh.out[s]))
 		}
 		for _, o := range sh.wireOut {
 			rep.sent += int64(len(o))
@@ -411,14 +417,20 @@ func (n *Network) finalize() *Stats {
 // HaltRound halt together without ever being touched. Results and Stats are
 // those of the same Run with every Init called at round 0, where dormant
 // nodes count as live sleepers.
+//
+// A dormant node's newProc and Init therefore run in the round of its first
+// message, on the shard worker that steps it: with Workers > 1 they run
+// concurrently with other nodes' newProc, Init and Step calls, so newProc
+// must be safe for concurrent calls (as a Pages.At on distinct ids is).
 type Dormancy struct {
 	Sources   []int
 	HaltRound int
 }
 
-// Run executes the simulation. newProc is called once per node id to create
-// its Process; the caller typically captures the created processes to read
-// their outputs afterwards. Run returns the statistics and the first error
+// Run executes the simulation. newProc is called once per node id, in
+// ascending id order and before round 1, to create its Process; the caller
+// typically captures the created processes to read their outputs
+// afterwards. Run returns the statistics and the first error
 // (bandwidth violation, illegal send, or round-limit exhaustion), if any.
 //
 // Run may be called repeatedly on the same network (optionally reseeded via
@@ -433,7 +445,9 @@ func (n *Network) Run(newProc func(id int) Process) (*Stats, error) {
 
 // RunDormant is Run for a protocol whose non-source nodes start dormant
 // (see Dormancy): newProc is called only for the sources and for the nodes
-// a message reaches, so the Run costs the vertices it touches.
+// a message reaches, so the Run costs the vertices it touches. A non-source
+// node's newProc and Init run in the round of its first message and may run
+// concurrently with each other; newProc must be safe for concurrent calls.
 func (n *Network) RunDormant(d Dormancy, newProc func(id int) Process) (*Stats, error) {
 	return n.run(&d, newProc)
 }
@@ -461,7 +475,7 @@ func (n *Network) run(dorm *Dormancy, newProc func(id int) Process) (*Stats, err
 			sh.net = n
 			sh.idx = int32(w)
 			sh.lo, sh.hi = int32(slo), int32(shi)
-			sh.out = make([]outbox, nw)
+			sh.out = make([][]pend, nw)
 			sh.due = newDueSet(shi - slo)
 			sh.inboxes.left = int(n.off[shi] - n.off[slo])
 			sh.rngs.left = shi - slo
@@ -474,10 +488,10 @@ func (n *Network) run(dorm *Dormancy, newProc func(id int) Process) (*Stats, err
 		}
 	}
 	n.resetRunState()
-	n.newProc = newProc
-	defer func() { n.newProc = nil }()
 	n.dormantHalt = 0
 	if dorm != nil {
+		n.newProc = newProc
+		defer func() { n.newProc = nil }()
 		n.dormantHalt = int32(min(dorm.HaltRound, int(noWake)-1))
 		for w := range n.shards {
 			sh := &n.shards[w]

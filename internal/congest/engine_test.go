@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -318,5 +319,50 @@ func TestFastForwardRespectsRoundLimit(t *testing.T) {
 	}
 	if stats.Rounds != 50 {
 		t.Errorf("rounds = %d, want 50", stats.Rounds)
+	}
+}
+
+// initBroadcaster broadcasts in Init, except node fail, whose Init sends an
+// illegal message: the eager Run stops initializing there.
+type initBroadcaster struct{ id, fail int }
+
+func (p initBroadcaster) Init(ctx *Context) {
+	if p.id == p.fail {
+		ctx.SendNbr(0, Message{Kind: 1}) // Bits 0: a SendError
+		return
+	}
+	ctx.Broadcast(Message{Kind: 1, Bits: 1})
+}
+func (p initBroadcaster) Step(ctx *Context) { ctx.Halt() }
+
+// TestInitErrorLeavesLaterNodesUntouched: when an Init fails, the round-0
+// mail of the nodes initialized before it is still delivered and counted,
+// but the nodes after it were never part of the Run: their stale contexts
+// read no mail, so no wakeup is counted, and a later Run on the same
+// network matches a fresh network's.
+func TestInitErrorLeavesLaterNodesUntouched(t *testing.T) {
+	g := torusGraph(12) // 144 nodes: several shards at Workers 4
+	const fail = 70
+	for _, workers := range []int{1, 4} {
+		net, _ := NewNetwork(g, Config{Seed: 1, Workers: workers})
+		stats, err := net.Run(func(id int) Process { return initBroadcaster{id: id, fail: fail} })
+		var se *SendError
+		if !errors.As(err, &se) || se.From != fail {
+			t.Fatalf("workers=%d: error %v, want node %d's SendError", workers, err, fail)
+		}
+		if stats.Rounds != 0 || stats.Messages != 4*fail || stats.Wakeups != 0 || stats.ActiveSteps != 0 || stats.SleepSkips != 0 {
+			t.Errorf("workers=%d: rounds %d messages %d wakeups %d steps %d skips %d, want 0 %d 0 0 0",
+				workers, stats.Rounds, stats.Messages, stats.Wakeups, stats.ActiveSteps, stats.SleepSkips, 4*fail)
+		}
+		again, err := net.Run(func(id int) Process { return &mixProc{id: id} })
+		if err != nil {
+			t.Fatalf("workers=%d: rerun: %v", workers, err)
+		}
+		fresh, _ := NewNetwork(g, Config{Seed: 1, Workers: workers})
+		want, _ := fresh.Run(func(id int) Process { return &mixProc{id: id} })
+		again.StepGrows, again.DeliverGrows, want.StepGrows, want.DeliverGrows = 0, 0, 0, 0
+		if !reflect.DeepEqual(again, want) {
+			t.Errorf("workers=%d: rerun after the failed Run\n got %+v\nwant %+v", workers, *again, *want)
+		}
 	}
 }

@@ -68,7 +68,7 @@ type Network struct {
 	shardMul uint64
 	pool     *workerPool
 	runNo    uint32
-	newProc  func(id int) Process // the current Run's factory
+	newProc  func(id int) Process // a dormant Run's factory; nil in an eager Run
 	// dormantHalt is the round at which the current Run's dormant nodes
 	// halt (0: they wait for mail); see Dormancy.
 	dormantHalt int32
@@ -182,9 +182,9 @@ func (n *Network) resetRunState() {
 		sh := &n.shards[i]
 		sh.due.reset()
 		sh.queue = sh.queue[:0]
-		sh.live, sh.dormant, sh.dormantHalted = int64(sh.hi-sh.lo), 0, false
+		sh.live, sh.dormant = int64(sh.hi-sh.lo), 0
 		for s := range sh.out {
-			sh.out[s].reset()
+			sh.out[s] = sh.out[s][:0]
 		}
 		sh.steps, sh.skips, sh.wakes, sh.halts = 0, 0, 0, 0
 		sh.msgs, sh.bits, sh.drops = 0, 0, 0

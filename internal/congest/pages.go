@@ -35,12 +35,19 @@ func (p *Pages[T]) At(i int) *T {
 	d := &p.dir[i>>pageShift]
 	pg := d.Load()
 	if pg == nil {
-		pg = new([pageLen]T)
-		if !d.CompareAndSwap(nil, pg) {
-			pg = d.Load()
-		}
+		pg = install(d, new([pageLen]T))
 	}
 	return &pg[i&pageMask]
+}
+
+// install publishes a new page in the empty directory entry d and returns
+// the page d holds: pg, or the page of a goroutine that installed one
+// first.
+func install[P any](d *atomic.Pointer[P], pg *P) *P {
+	if d.CompareAndSwap(nil, pg) {
+		return pg
+	}
+	return d.Load()
 }
 
 // Touched calls f for every entry on a touched page, in ascending index
@@ -74,24 +81,20 @@ type edgeUse struct {
 }
 
 // node returns the Context of vertex u, allocating its page on first
-// touch. Pages are installed with a compare-and-swap because shards are not
-// page-aligned: two shards may touch one page's first nodes at once.
+// touch.
 func (n *Network) node(u int32) *Context {
 	pg := n.pages[u>>pageShift].Load()
 	if pg == nil {
-		pg = n.touchPage(u)
+		pg = n.newPage(u)
 	}
 	return &pg.ctx[u&pageMask]
 }
 
-// touchPage installs the page of vertex u and returns it.
-func (n *Network) touchPage(u int32) *nodePage {
+// newPage installs the page of vertex u and returns it. Pages are installed
+// like those of Pages, because shards are not page-aligned: two shards may
+// touch one page's first nodes at once.
+func (n *Network) newPage(u int32) *nodePage {
 	lo := u &^ pageMask
 	hi := min(int(lo)+pageLen, n.g.N())
-	pg := &nodePage{base: n.off[lo], edges: make([]edgeUse, n.off[hi]-n.off[lo])}
-	d := &n.pages[u>>pageShift]
-	if !d.CompareAndSwap(nil, pg) {
-		pg = d.Load()
-	}
-	return pg
+	return install(&n.pages[u>>pageShift], &nodePage{base: n.off[lo], edges: make([]edgeUse, n.off[hi]-n.off[lo])})
 }

@@ -26,73 +26,6 @@ type pend struct {
 	msg Message
 }
 
-// Outbox chunk sizes, in messages: 32 (1.5 KB) doubling five times, up to
-// 1024 (48 KB).
-const outChunkMin, outChunkDoublings = 32, 5
-
-// outbox buffers one shard's messages to one destination shard, in send
-// order, in chunks that double up to 1024 entries: growing it never copies,
-// so a run allocates about what its busiest round sends. reset keeps the
-// chunks, so a warm outbox never allocates.
-type outbox struct {
-	chunks [][]pend // chunks[:cur] are full; last is chunks[cur] being filled
-	last   []pend
-	cur    int
-}
-
-// add appends one entry and returns it; the caller overwrites it. A new
-// chunk is counted in *grows.
-func (o *outbox) add(grows *int64) *pend {
-	if len(o.last) == cap(o.last) {
-		o.next(grows)
-	}
-	o.last = o.last[:len(o.last)+1]
-	return &o.last[len(o.last)-1]
-}
-
-// next moves to the following chunk, allocating it when the outbox has
-// never been this full.
-func (o *outbox) next(grows *int64) {
-	if o.last != nil {
-		o.chunks[o.cur] = o.last
-		o.cur++
-	}
-	if o.cur == len(o.chunks) {
-		*grows++
-		o.chunks = append(o.chunks, make([]pend, 0, outChunkMin<<min(len(o.chunks), outChunkDoublings)))
-	}
-	o.last = o.chunks[o.cur][:0]
-}
-
-// held returns the chunks holding messages, in send order.
-func (o *outbox) held() [][]pend {
-	if len(o.chunks) == 0 {
-		return nil
-	}
-	o.chunks[o.cur] = o.last
-	return o.chunks[:o.cur+1]
-}
-
-// len returns the number of messages held.
-func (o *outbox) len() int {
-	n := len(o.last)
-	for _, c := range o.chunks[:o.cur] {
-		n += len(c)
-	}
-	return n
-}
-
-// reset empties the outbox, keeping its chunks.
-func (o *outbox) reset() {
-	for i := range o.held() {
-		o.chunks[i] = o.chunks[i][:0]
-	}
-	o.cur = 0
-	if len(o.chunks) > 0 {
-		o.last = o.chunks[0]
-	}
-}
-
 // drainLocal drains every shard's mailbox destined to this shard into its
 // inboxes, in shard order. Because shards are contiguous ascending id
 // ranges and each shard steps in ascending id order, the drain reproduces
@@ -103,49 +36,57 @@ func (o *outbox) reset() {
 func (sh *shard) drainLocal() {
 	net := sh.net
 	rnd := int32(net.round + 1)
-	pages := net.pages
+	pages, runNo := net.pages, net.runNo
 	for w := range net.shards {
-		o := &net.shards[w].out[sh.idx]
-		for _, buf := range o.held() {
-			for i := range buf {
-				if buf[i].msg.Flags&FlagBounced == 0 {
-					// Bounces are excluded from the message/bit accounting:
-					// nothing traversed an edge (Stats.DroppedSends counts them).
-					sh.msgs++
-					sh.bits += int64(buf[i].msg.Bits)
-				}
-				pg := pages[buf[i].to>>pageShift].Load()
-				if pg == nil {
-					pg = net.touchPage(buf[i].to)
-				}
-				dst := &pg.ctx[buf[i].to&pageMask]
-				if dst.run != net.runNo {
-					sh.wakeDormant(dst, buf[i].to)
-				}
-				if dst.halted {
+		src := &net.shards[w]
+		buf := src.out[sh.idx]
+		for i := range buf {
+			if buf[i].msg.Flags&FlagBounced == 0 {
+				// Bounces are excluded from the message/bit accounting:
+				// nothing traversed an edge (Stats.DroppedSends counts them).
+				sh.msgs++
+				sh.bits += int64(buf[i].msg.Bits)
+			}
+			to := buf[i].to
+			// The common case of receiver(to) by hand: receiver is too
+			// large to inline, and this is the per-message path.
+			var dst *Context
+			if pg := pages[to>>pageShift].Load(); pg != nil {
+				dst = &pg.ctx[to&pageMask]
+			}
+			if dst == nil || dst.run != runNo || cap(dst.inbox) == 0 || dst.halted {
+				if dst = sh.receiver(to); dst == nil {
 					continue // counted, never read: drop instead of hoarding
 				}
-				if len(dst.inbox) == 0 {
-					sh.arrive(dst, rnd)
-				}
-				if cap(dst.inbox) == 0 {
-					sh.carveInbox(dst)
-				}
-				var m *Message
-				dst.inbox, m = extend(dst.inbox, &sh.deliverGrows)
-				*m = buf[i].msg
-				m.Round = rnd
 			}
+			if len(dst.inbox) == 0 {
+				sh.arrive(dst, rnd)
+			}
+			var m *Message
+			dst.inbox, m = extend(dst.inbox, &sh.deliverGrows)
+			*m = buf[i].msg
+			m.Round = rnd
 		}
-		o.reset()
+		src.out[sh.idx] = buf[:0]
 	}
 }
 
-// carveInbox gives dst, on its first delivery, an inbox of capacity
-// deg(v) carved from the shard's slab.
-func (sh *shard) carveInbox(dst *Context) {
-	off := sh.net.off
-	dst.inbox = sh.inboxes.carve(int(off[dst.id+1] - off[dst.id]))[:0]
+// receiver returns the Context that a message to u is delivered into, or
+// nil when u reads no mail: it halted, or it is not a node of this Run (a
+// stale context of an eager Run whose round-0 Inits stopped at an error
+// before u). A dormant node is activated by its first message, and a node
+// gets, on its first delivery ever, an inbox of capacity deg(u) carved from
+// the shard's slab.
+func (sh *shard) receiver(u int32) *Context {
+	c := sh.net.node(u)
+	if c.run != sh.net.runNo && !sh.wakeDormant(c, u) || c.halted {
+		return nil
+	}
+	if cap(c.inbox) == 0 {
+		off := sh.net.off
+		c.inbox = sh.inboxes.carve(int(off[u+1] - off[u]))[:0]
+	}
+	return c
 }
 
 // arrive records a node's first message of the round: it is due in round

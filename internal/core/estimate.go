@@ -17,37 +17,40 @@ import (
 // mass arrives first; a holder does the same after its last share in round
 // ℓ. Only the ℓ-ball around the source is ever stepped, and in round ℓ+1
 // only the nodes mass reached in that round.
+//
+// A node's only state is its mass, so one rwProc serves every node and
+// keeps node u's mass in w[u], the output array itself: each node writes
+// only its own entry, so parallel stepping is race-free.
 type rwProc struct {
 	sh  *shared
 	ell int
-	w   int64
+	w   []int64
 }
 
-func (p *rwProc) Init(ctx *congest.Context) { p.sleep(ctx) }
+func (p *rwProc) Init(ctx *congest.Context) { p.sleep(ctx, p.w[ctx.ID()]) }
 
 func (p *rwProc) Step(ctx *congest.Context) {
-	var in int64
+	w := &p.w[ctx.ID()]
 	for _, m := range ctx.Inbox() {
 		if m.Kind == protocol.KindWalk {
-			in += m.Value
+			*w += m.Value
 		}
 	}
-	p.w += in
 	if ctx.Round() >= p.ell+1 {
 		ctx.Halt()
 		return
 	}
-	if p.w > 0 {
-		emitShares(ctx, &p.w, p.sh.cfg.Lazy, 0, p.sh.sizes.Value())
+	if *w > 0 {
+		emitShares(ctx, w, p.sh.cfg.Lazy, 0, p.sh.sizes.Value())
 	}
-	p.sleep(ctx)
+	p.sleep(ctx, *w)
 }
 
-// sleep parks a node with nothing left to send — no mass, or its last
+// sleep parks a node with nothing left to send — no mass w, or its last
 // share sent in round ℓ — until round ℓ+1, where it halts unless mass
 // arrives first.
-func (p *rwProc) sleep(ctx *congest.Context) {
-	if r := ctx.Round(); p.w == 0 || r == p.ell {
+func (p *rwProc) sleep(ctx *congest.Context, w int64) {
+	if r := ctx.Round(); w == 0 || r == p.ell {
 		ctx.SleepThenHalt(p.ell + 1 - r)
 	}
 }
@@ -116,21 +119,13 @@ func EstimateRWProbability(g *graph.Graph, source, ell int, cfg Config) (*RWEsti
 		return nil, err
 	}
 	// Every node but the source starts dormant: its Init would only sleep
-	// until ℓ+1, so the engine creates it when mass first reaches it.
-	procs := congest.NewPages[rwProc](g.N())
+	// until ℓ+1, so the engine initializes it when mass first reaches it.
+	p := &rwProc{sh: sh, ell: ell, w: make([]int64, g.N())}
+	p.w[source] = scale.One
 	stats, err := net.RunDormant(congest.Dormancy{Sources: []int{source}, HaltRound: ell + 1},
-		func(id int) congest.Process {
-			p := procs.At(id)
-			*p = rwProc{sh: sh, ell: ell}
-			if id == source {
-				p.w = scale.One
-			}
-			return p
-		})
+		func(int) congest.Process { return p })
 	if err != nil {
 		return nil, err
 	}
-	out := &RWEstimate{W: make([]int64, g.N()), Scale: scale, Stats: stats}
-	procs.Touched(func(i int, p *rwProc) { out.W[i] = p.w })
-	return out, nil
+	return &RWEstimate{W: p.w, Scale: scale, Stats: stats}, nil
 }
